@@ -9,15 +9,16 @@ Each adapter wraps one existing backend without re-implementing any physics:
   rate values between operating points;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
-  bias points;
+  bias points.  Sessions run the compiled advance loop of
+  :mod:`repro.montecarlo.jit` whenever a native backend (numba or a
+  C/ctypes build) loaded, and the numpy fast path otherwise; both replay
+  the same trajectory bit for bit at any given seed;
 * ``ensemble`` — the same simulator advancing ``R`` batched replicas, with
   replica-spread error bars;
-* ``montecarlo-jit`` / ``ensemble-jit`` — the same simulator with the
-  compiled advance loop of :mod:`repro.montecarlo.jit` (numba or a
-  C/ctypes build, interpreted fallback otherwise).  They replay the numpy
-  engines bit for bit at any given seed and declare themselves
-  ``available`` only when a native backend loaded, so capability-based
-  selection adopts them exactly when the speedup is real.
+* ``ensemble-jit`` — the ensemble on the compiled advance loop.  Its
+  replicas run one after another, so for ``R >= 2`` it consumes the random
+  stream in a different order than the lockstep ``ensemble`` engine; it
+  declares itself ``available`` only when a native backend loaded.
 
 The adapters are registered with :mod:`repro.engines.registry` on import;
 resolve them with :func:`repro.engines.get_engine` rather than instantiating
@@ -399,6 +400,10 @@ class MonteCarloSession(_CircuitSession):
     The simulator is constructed once at bind time, so its event tables,
     memoised rate cache, and seeded random stream persist across
     :meth:`solve` calls and power the warm-started :meth:`sweep`.
+    ``jit=True`` runs the compiled advance loop (what
+    :meth:`MonteCarloEngine.bind` picks when a native backend loaded);
+    the default ``jit=False`` keeps the numpy fast path, the oracle the
+    compiled loop is tested against.
     """
 
     #: Replica count; ``0`` on the single-trajectory engine, >= 2 on the
@@ -499,28 +504,46 @@ class MonteCarloEngine(Engine):
     name = "montecarlo"
 
     def capabilities(self) -> EngineCapabilities:
-        """Stochastic-complete, single-trajectory block-averaged statistics."""
+        """Stochastic-complete, single-trajectory block-averaged statistics.
+
+        The description names the event-loop backend in use, and the
+        per-point cost reflects the compiled loop when one loaded.
+        """
+        from ..montecarlo.jit import jit_backend, jit_compiled
+
+        compiled = jit_compiled()
         return EngineCapabilities(
             name=self.name,
             exactness=EXACTNESS_STOCHASTIC_FULL,
             stochastic=True,
             supports_ensemble=False,
             supports_temperature_array=False,
-            cost=CostModel(setup_s=5e-3, per_point_s=5e-3),
+            cost=CostModel(setup_s=5e-3,
+                           per_point_s=5e-4 if compiled else 5e-3),
             description="kinetic Monte Carlo: co-tunnelling, traps, "
                         "transients; warm-started sweeps; block-averaged "
-                        "error bars")
+                        "error bars (event loop: "
+                        f"{jit_backend() if compiled else 'numpy'})")
 
     def bind(self, device: SETTransistor, *, temperature: float,
              seed: Optional[int] = None,
              background_charge: Optional[float] = None,
              max_events: int = 20_000, warmup_events: int = 1_000,
              replicas: int = 0) -> MonteCarloSession:
-        """Bind a warm single-trajectory session (``replicas`` ignored)."""
+        """Bind a warm single-trajectory session (``replicas`` ignored).
+
+        The session runs the compiled advance loop when a native backend
+        loaded and the numpy fast path otherwise; the two are bit-identical
+        at any seed.  ``MonteCarloSession(..., jit=False)`` binds the numpy
+        path explicitly.
+        """
+        from ..montecarlo.jit import jit_compiled
+
         return MonteCarloSession(device, temperature, seed=seed,
                                  background_charge=background_charge,
                                  max_events=max_events,
-                                 warmup_events=warmup_events)
+                                 warmup_events=warmup_events,
+                                 jit=jit_compiled())
 
 
 class EnsembleEngine(Engine):
@@ -554,50 +577,8 @@ class EnsembleEngine(Engine):
 
 
 # ======================================================================
-# montecarlo-jit / ensemble-jit
+# ensemble-jit
 # ======================================================================
-
-
-class MonteCarloJitEngine(Engine):
-    """Single-trajectory kinetic Monte Carlo on the compiled advance loop.
-
-    Same physics, estimators, and random stream as ``montecarlo`` — a
-    seeded session replays the numpy engine event for event — but the
-    inner loop runs in a numba- or C-compiled kernel.  The engine is
-    registered unconditionally and declares ``available=False`` when no
-    native backend could be loaded, so capability-based selection falls
-    back to the numpy engine instead of paying the interpreted shim.
-    """
-
-    name = "montecarlo-jit"
-
-    def capabilities(self) -> EngineCapabilities:
-        """Like ``montecarlo``, but cheaper per point when a backend loaded."""
-        from ..montecarlo.jit import jit_backend, jit_compiled
-
-        return EngineCapabilities(
-            name=self.name,
-            exactness=EXACTNESS_STOCHASTIC_FULL,
-            stochastic=True,
-            supports_ensemble=False,
-            supports_temperature_array=False,
-            cost=CostModel(setup_s=5e-3, per_point_s=5e-4),
-            available=jit_compiled(),
-            description="kinetic Monte Carlo on a compiled advance loop "
-                        f"(backend: {jit_backend()}); bit-identical to "
-                        "'montecarlo' at any seed")
-
-    def bind(self, device: SETTransistor, *, temperature: float,
-             seed: Optional[int] = None,
-             background_charge: Optional[float] = None,
-             max_events: int = 20_000, warmup_events: int = 1_000,
-             replicas: int = 0) -> MonteCarloSession:
-        """Bind a compiled single-trajectory session (``replicas`` ignored)."""
-        return MonteCarloSession(device, temperature, seed=seed,
-                                 background_charge=background_charge,
-                                 max_events=max_events,
-                                 warmup_events=warmup_events,
-                                 engine_name=self.name, jit=True)
 
 
 class EnsembleJitEngine(Engine):
@@ -646,7 +627,6 @@ register_engine(AnalyticEngine())
 register_engine(MasterEngine())
 register_engine(MonteCarloEngine())
 register_engine(EnsembleEngine())
-register_engine(MonteCarloJitEngine())
 register_engine(EnsembleJitEngine())
 
 
@@ -659,7 +639,6 @@ __all__ = [
     "MasterEngine",
     "MasterSession",
     "MonteCarloEngine",
-    "MonteCarloJitEngine",
     "MonteCarloSession",
     "analytic_model_for",
 ]

@@ -29,9 +29,10 @@ at first use (override with ``REPRO_JIT_BACKEND``):
     correctness reference for the re-entry protocol.
 
 :func:`jit_compiled` reports whether a *native* backend (numba or cc) is
-active — that is the availability flag the ``montecarlo-jit`` /
-``ensemble-jit`` engines expose through capability introspection, so
-``select_engine`` adopts them only when the speedup is real.
+active.  The ``montecarlo`` engine binds its sessions to the compiled loop
+exactly when it is, and the ``ensemble-jit`` engine uses it as its
+availability flag, so ``select_engine`` adopts that engine only when the
+speedup is real.
 
 Re-entry protocol
 -----------------
@@ -387,31 +388,29 @@ def _load_cc_advance() -> Optional[Callable]:
         native = library.repro_mc_advance
     except (OSError, AttributeError):
         return None
-    double_p = ctypes.POINTER(ctypes.c_double)
-    int64_p = ctypes.POINTER(ctypes.c_longlong)
+    # Pointer arguments are raw addresses: ``arr.ctypes.data`` is one
+    # attribute read, where ``data_as`` builds a typed pointer object per
+    # array per call.  The addresses carry no dtype, so callers must pass
+    # C-contiguous float64/int64 arrays exactly as the kernel builds them.
+    pointer = ctypes.c_void_p
     int64 = ctypes.c_longlong
     native.restype = int64
-    native.argtypes = [double_p, double_p, int64_p, int64_p, double_p,
-                       double_p, double_p, int64, double_p, int64,
-                       int64_p, double_p, int64, int64, int64]
+    native.argtypes = [pointer, pointer, pointer, pointer, pointer,
+                       pointer, pointer, int64, pointer, int64,
+                       pointer, pointer, int64, int64, int64]
 
     def advance(totals, cumulative, last_selectable, successor_slots,
                 transfer_matrix, transfers, exp_buf, uni_buf,
                 ireg, freg, max_events):
         """ctypes shim matching :func:`_advance_py`'s signature."""
-        return int(native(
-            totals.ctypes.data_as(double_p),
-            cumulative.ctypes.data_as(double_p),
-            last_selectable.ctypes.data_as(int64_p),
-            successor_slots.ctypes.data_as(int64_p),
-            transfer_matrix.ctypes.data_as(double_p),
-            transfers.ctypes.data_as(double_p),
-            exp_buf.ctypes.data_as(double_p), int64(exp_buf.shape[0]),
-            uni_buf.ctypes.data_as(double_p), int64(uni_buf.shape[0]),
-            ireg.ctypes.data_as(int64_p),
-            freg.ctypes.data_as(double_p),
-            int64(max_events), int64(cumulative.shape[1]),
-            int64(transfer_matrix.shape[1])))
+        return native(
+            totals.ctypes.data, cumulative.ctypes.data,
+            last_selectable.ctypes.data, successor_slots.ctypes.data,
+            transfer_matrix.ctypes.data, transfers.ctypes.data,
+            exp_buf.ctypes.data, exp_buf.shape[0],
+            uni_buf.ctypes.data, uni_buf.shape[0],
+            ireg.ctypes.data, freg.ctypes.data,
+            max_events, cumulative.shape[1], transfer_matrix.shape[1])
 
     return advance
 
@@ -504,10 +503,11 @@ def jit_backend() -> str:
 def jit_compiled() -> bool:
     """Whether a *native* (numba or C) advance loop is active.
 
-    This is the availability flag of the ``montecarlo-jit`` /
-    ``ensemble-jit`` engines: with only the interpreted loop on offer the
-    engines still work but advertise ``available=False`` so capability-based
-    selection keeps preferring the numpy engines.
+    The ``montecarlo`` engine runs its sessions on the compiled loop only
+    when this is true, and the ``ensemble-jit`` engine reports it as its
+    availability: with only the interpreted loop on offer that engine still
+    works but advertises ``available=False`` so capability-based selection
+    keeps preferring the numpy ensemble.
     """
     try:
         return jit_backend() != BACKEND_PYTHON

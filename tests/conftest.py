@@ -101,3 +101,15 @@ def standard_transistor() -> SETTransistor:
 def rng() -> np.random.Generator:
     """A seeded NumPy generator for reproducible stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def python_backend(monkeypatch):
+    """Pin the interpreted JIT backend for one test, restoring afterwards."""
+    from repro.montecarlo.jit import BACKEND_PYTHON, clear_backend_cache
+
+    monkeypatch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
+    clear_backend_cache()
+    yield
+    monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
+    clear_backend_cache()

@@ -23,7 +23,6 @@ from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_NUMBA,
     BACKEND_PYTHON,
-    clear_backend_cache,
     jit_backend,
     jit_compiled,
     resolve_advance,
@@ -50,16 +49,6 @@ def assert_identical_trajectories(compiled, scalar):
     assert compiled.duration == scalar.duration
     assert compiled.final_electrons == scalar.final_electrons
     assert compiled.electron_transfers == scalar.electron_transfers
-
-
-@pytest.fixture
-def python_backend(monkeypatch):
-    """Force the interpreted backend for one test, restoring afterwards."""
-    monkeypatch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
-    clear_backend_cache()
-    yield
-    monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
-    clear_backend_cache()
 
 
 class TestBackendResolution:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
+from repro.engines.adapters import MonteCarloSession
 from repro.montecarlo.jit import jit_compiled
 from repro.resilience import FaultInjector
 from repro.resilience.events import capture_degradations
@@ -39,8 +40,8 @@ def chaos_all_compiled_entries():
 class TestJitFallback:
     def test_single_trajectory_fallback_is_bit_identical_to_numpy(
             self, device, axes):
-        jit_session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
-        numpy_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
+        jit_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
+        numpy_session = MonteCarloSession(device, jit=False, **BIND_KWARGS)
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
@@ -54,7 +55,7 @@ class TestJitFallback:
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
     def test_fallback_disables_the_kernel_jit(self, device, axes):
-        session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
+        session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
         assert session.simulator.kernel.jit_enabled
         with chaos_all_compiled_entries():
             session.sweep(axes)
@@ -74,7 +75,7 @@ class TestJitFallback:
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
     def test_clean_compiled_run_emits_no_degradation(self, device, axes):
-        session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
+        session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
         with capture_degradations() as events:
             session.sweep(axes)
         assert events == []

@@ -117,8 +117,9 @@ def test_engines_lists_every_registered_engine_with_flags(capsys):
     assert main(["engines"]) == 0
     output = capsys.readouterr().out
     for name in ("analytic", "master", "montecarlo", "ensemble",
-                 "montecarlo-jit", "ensemble-jit"):
+                 "ensemble-jit"):
         assert name in output
+    assert "montecarlo-jit" not in output
     assert "exactness" in output
     assert "stochastic-complete" in output
     assert "available" in output
@@ -129,8 +130,8 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     assert main(["engines", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in payload}
-    assert {"analytic", "ensemble", "master", "montecarlo",
-            "montecarlo-jit", "ensemble-jit"} <= names
+    assert names == {"analytic", "ensemble", "master", "montecarlo",
+                     "ensemble-jit"}
     for entry in payload:
         assert {"exactness", "stochastic", "supports_ensemble",
                 "supports_temperature_array", "available", "cost",
@@ -140,6 +141,15 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     # The numpy engines never gate on optional dependencies.
     always_on = {entry["name"]: entry["available"] for entry in payload}
     assert always_on["montecarlo"] and always_on["ensemble"]
+    # montecarlo names its event-loop backend and prices the compiled loop.
+    from repro.montecarlo.jit import jit_backend, jit_compiled
+
+    montecarlo = next(entry for entry in payload
+                      if entry["name"] == "montecarlo")
+    backend = jit_backend() if jit_compiled() else "numpy"
+    assert f"event loop: {backend}" in montecarlo["description"]
+    assert montecarlo["cost"]["per_point_s"] == \
+        (5e-4 if jit_compiled() else 5e-3)
 
 
 def test_compare_rejects_unknown_engine(capsys):
