@@ -131,6 +131,15 @@ class TestCheckpointResume:
         assert len({chunk.key for chunk in plan}) == 3
 
 
+    def test_chunk_keys_are_pinned(self, tmp_path):
+        # Frozen values: a changed key orphans every scan checkpoint.
+        scan = DeviceScan(make_spec(), cache=ResultCache(str(tmp_path)))
+        assert [chunk.key for chunk in scan.chunk_plan()] == [
+            "54203c50969923a05600346a030f38e54a9386fd42bb5569d673febdb1598123",
+            "25fc5893784e4b561ea151a42cb9dcf5f714679e31bdbd90c26c5e5ba58dc57a",
+            "594130073d068095d5a26ec9e10262f4e6579f6dee466e7f391fabdeb76d9786",
+        ]
+
 class TestScheduleIndependence:
     def test_worker_count_does_not_change_the_map(self):
         spec = make_spec(chunk_size=2)

@@ -75,6 +75,17 @@ class TestChunkPlan:
         again = checkpointed("analytic", device, axes, ResultCache(tmp_path))
         assert [c.key for c in again.chunk_plan()] == [c.key for c in plan]
 
+    def test_chunk_seeds_and_keys_are_pinned(self, device, axes, tmp_path):
+        # Frozen values: a changed chunk key orphans every checkpoint on
+        # disk, and a changed chunk seed changes every stochastic sweep.
+        plan = checkpointed("analytic", device, axes,
+                            ResultCache(tmp_path)).chunk_plan()
+        assert [chunk.seed for chunk in plan] == [3918743174, 3196750140]
+        assert [chunk.key for chunk in plan] == [
+            "bae866c09714707a64341a86eec738764196f924e105aab942bdef58b9557737",
+            "fd93045942a4749e4071af3281f0271f31a5eeba5a82475c45ef8b1d066863db",
+        ]
+
     def test_chunk_size_is_part_of_the_identity(self, device, axes,
                                                 tmp_path):
         cache = ResultCache(tmp_path)
