@@ -47,11 +47,9 @@ from .feasibility import (
     merge_chunk_payloads,
 )
 from .scan import (
-    DesignChunk,
     DeviceScan,
     YieldReport,
     analyze_yield,
-    derive_point_seed,
     resolve_engine,
 )
 from .spec import (
@@ -61,11 +59,7 @@ from .spec import (
     DesignSpec,
     DeviceAxis,
 )
-from .tolerance import (
-    ComponentDeviation,
-    ToleranceModel,
-    derive_element_seed,
-)
+from .tolerance import ComponentDeviation, ToleranceModel
 
 __all__ = [
     "CONSTRAINT_TYPES",
@@ -73,7 +67,6 @@ __all__ = [
     "Constraint",
     "ConstraintVerdict",
     "DEVICE_PARAMETERS",
-    "DesignChunk",
     "DesignPoint",
     "DesignSpec",
     "DeviceAxis",
@@ -89,8 +82,6 @@ __all__ = [
     "analyze_yield",
     "build_constraint",
     "build_constraints",
-    "derive_element_seed",
-    "derive_point_seed",
     "merge_chunk_payloads",
     "resolve_engine",
 ]

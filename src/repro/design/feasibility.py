@@ -7,8 +7,9 @@ of the device/environment grid it records a three-valued **verdict**
 or outside the feasible window the point sits; fragile designs have small
 positive margins), every constraint's individual margin, the on/off
 operating currents, an optional per-point tolerance **yield**, and a
-per-point status string (``ok`` / ``failed`` / ``skipped``) mirroring the
-resilience layer's point records.
+per-point status string in the resilience layer's point-record vocabulary
+(``ok`` / ``retried`` / ``degraded`` / ``timeout`` / ``failed`` /
+``skipped``).
 
 Maps are plain-payload serialisable (:meth:`FeasibilityMap.to_payload` /
 :meth:`from_payload`) so they flow through the result cache, the CLI's
@@ -65,7 +66,10 @@ class FeasibilityMap:
         Flat float arrays of the operating currents (NaN where the scan
         skipped the engine solves).
     statuses:
-        Per-point status strings: ``"ok"``, ``"failed"``, or ``"skipped"``.
+        Per-point status strings in the
+        :class:`~repro.resilience.policy.PointRecord` vocabulary: ``"ok"``,
+        ``"retried"``, ``"degraded"``, ``"timeout"``, ``"failed"`` or
+        ``"skipped"`` (only ``"ok"`` without a failure policy).
     yields:
         Optional flat float array of per-point tolerance-MC yield in
         ``[0, 1]`` (``None`` when the spec declares no tolerances).
@@ -319,7 +323,7 @@ class FeasibilityMap:
 
 
 def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
-                         total: int) -> Dict[str, Any]:
+                         total: int, n_constraints: int) -> Dict[str, Any]:
     """Merge per-chunk scan payloads into full-grid flat arrays.
 
     Parameters
@@ -331,6 +335,9 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
         their slots at the UNKNOWN / NaN / ``"skipped"`` defaults.
     total:
         Total number of grid points.
+    n_constraints:
+        Number of constraints (rows of ``margins``), taken from the scan's
+        constraint set so a map that lost every chunk keeps its shape.
 
     Returns
     -------
@@ -338,9 +345,6 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
         Flat arrays covering the whole grid (``margins`` is a list of
         per-constraint rows).
     """
-    n_constraints = 0
-    for chunk in chunks:
-        n_constraints = max(n_constraints, len(chunk.get("margins", ())))
     verdicts = np.full(total, UNKNOWN, dtype=np.int8)
     robustness = np.full(total, np.nan)
     margins = np.full((n_constraints, total), np.nan)

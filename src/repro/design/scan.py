@@ -9,31 +9,33 @@ the spec declares component tolerances) estimates the per-point
 Monte-Carlo yield.  The result is a
 :class:`~repro.design.feasibility.FeasibilityMap`.
 
-Execution discipline mirrors the resilience layer:
+Execution runs on the resilience layer's chunked executor
+(:class:`~repro.resilience.chunked.ChunkedRun`):
 
 * the grid is sharded into fixed-size **chunks**, each persisted through a
   :class:`~repro.io.results.ResultCache` under a content hash of
   everything that determines its numbers — a killed scan resumes
   bit-identically, and identical chunks across scans dedup;
 * per-point failures **degrade** under an optional
-  :class:`~repro.resilience.policy.FailurePolicy` (unknown verdict, NaN
-  margins, ``failed`` status) instead of aborting the scan; a chunk-level
-  crash under policy yields a *partial* map whose missing chunk stays
-  uncached, so a re-run recomputes exactly that chunk;
+  :class:`~repro.resilience.policy.FailurePolicy` through the same
+  per-point loop as policy sweeps (retries with backoff, per-point
+  timeouts, ``max_failures`` give-up; unknown verdict and NaN margins at
+  abandoned points) instead of aborting the scan; a chunk-level crash
+  under policy yields a *partial* map whose missing chunk stays uncached,
+  so a re-run recomputes exactly that chunk;
 * stochastic engines get SHA-256-derived per-point seeds
-  (:func:`derive_point_seed`) and the tolerance model draws from
-  per-element seed streams — both independent of iteration order and
-  worker count, so any execution schedule produces the same map.
+  (``derive_seed(root_seed, "design-point", flat_index)``) and the
+  tolerance model draws from per-element seed streams — both independent
+  of iteration order and worker count, so any execution schedule produces
+  the same map.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +43,11 @@ from ..constants import E_CHARGE
 from ..devices.set_transistor import SETTransistor
 from ..engines.base import BiasPoint, Engine
 from ..errors import ValidationError
-from ..io.results import ResultCache, content_hash
+from ..io.results import ResultCache
+from ..resilience.chunked import Chunk, ChunkedRun, Payload, derive_seed
+from ..resilience.execution import run_points_with_policy
 from ..resilience.faults import inject
-from ..resilience.policy import FailurePolicy
+from ..resilience.policy import STATUS_OK, FailurePolicy
 from .constraints import Constraint, DesignPoint, build_constraints
 from .feasibility import (
     FEASIBLE,
@@ -54,32 +58,6 @@ from .feasibility import (
 )
 from .spec import DEVICE_PARAMETERS, DesignSpec
 from .tolerance import ToleranceModel
-
-_LOG = logging.getLogger("repro.design")
-
-
-def derive_point_seed(root_seed: int, flat_index: int) -> int:
-    """Deterministic per-point engine seed for stochastic scans.
-
-    Parameters
-    ----------
-    root_seed:
-        The design spec's root seed.
-    flat_index:
-        Row-major grid index of the point.
-
-    Returns
-    -------
-    int
-        A 32-bit seed — SHA-256 of ``"{root_seed}:design-point:{flat}"`` —
-        stable across processes and independent of execution order (the
-        ``design-point`` token keeps the stream disjoint from the
-        checkpoint layer's per-chunk seeds).
-    """
-    token = f"{root_seed}:design-point:{flat_index}"
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
 
 def resolve_engine(name: str) -> Engine:
     """Resolve a spec's engine name to an engine instance.
@@ -110,29 +88,6 @@ def resolve_engine(name: str) -> Engine:
         engine.capabilities().cost.per_point_s,
         engine.name))
     return candidates[0]
-
-
-@dataclass(frozen=True)
-class DesignChunk:
-    """One content-addressed unit of a design scan.
-
-    Parameters
-    ----------
-    index:
-        Chunk ordinal (0-based).
-    start:
-        Flat grid index of the chunk's first point.
-    count:
-        Number of grid points in the chunk.
-    key:
-        Cache key the chunk's payload is stored under (empty when the scan
-        runs without a cache).
-    """
-
-    index: int
-    start: int
-    count: int
-    key: str
 
 
 class _PointEvaluator:
@@ -251,8 +206,14 @@ class _PointEvaluator:
         return all(constraint.evaluate(point).satisfied
                    for constraint in self.hard)
 
-    def point_yield(self, flat_index: int) -> float:
-        """Per-point tolerance-MC yield in ``[0, 1]``.
+    def point_seed(self, flat_index: int) -> Optional[int]:
+        """One point's engine seed (``None`` for deterministic engines)."""
+        if not self.stochastic:
+            return None
+        return derive_seed(self.spec.seed, "design-point", flat_index)
+
+    def feasible_samples(self, flat_index: int) -> int:
+        """How many tolerance-MC samples of one point stay feasible.
 
         Each sample deviates the point's device through the spec's
         tolerance model (per-element SHA-256 seed streams — the draws are
@@ -261,8 +222,7 @@ class _PointEvaluator:
         """
         device, temperature, drain_voltage, background = \
             self.point_inputs(flat_index)
-        seed = derive_point_seed(self.spec.seed, flat_index) \
-            if self.stochastic else None
+        seed = self.point_seed(flat_index)
         feasible = 0
         for sample in range(self.spec.tolerance_samples):
             try:
@@ -275,7 +235,7 @@ class _PointEvaluator:
                 # device (e.g. a tolerance band crossing zero capacitance)
                 # is an infeasible sample, not a scan abort.
                 continue
-        return feasible / self.spec.tolerance_samples
+        return feasible
 
     def evaluate(self, flat_index: int) -> Dict[str, Any]:
         """Fully evaluate one grid point (constraints + optional yield)."""
@@ -284,15 +244,15 @@ class _PointEvaluator:
             self.point_inputs(flat_index)
         on = off = math.nan
         if self.needs_currents:
-            seed = derive_point_seed(self.spec.seed, flat_index) \
-                if self.stochastic else None
             on, off = self.solve_currents(device, temperature,
-                                          drain_voltage, background, seed)
+                                          drain_voltage, background,
+                                          self.point_seed(flat_index))
         outcome = self.classify(device, temperature, drain_voltage, on, off)
         outcome["on_current"] = on
         outcome["off_current"] = off
         if self.tolerance:
-            outcome["yield"] = self.point_yield(flat_index)
+            outcome["yield"] = self.feasible_samples(flat_index) \
+                / self.spec.tolerance_samples
         return outcome
 
 
@@ -307,7 +267,7 @@ def _unknown_point(n_constraints: int, with_yield: bool) -> Dict[str, Any]:
     return outcome
 
 
-class DeviceScan:
+class DeviceScan(ChunkedRun):
     """A checkpointed, policy-aware feasibility scan of one design spec.
 
     Parameters
@@ -319,28 +279,26 @@ class DeviceScan:
         checkpoints; ``None`` disables persistence (no resume, no dedup).
     policy:
         Optional :class:`~repro.resilience.policy.FailurePolicy`.  With a
-        policy, point failures retry up to ``max_retries`` times and then
-        degrade to an ``unknown`` verdict; at most ``max_failures``
-        degraded points are tolerated per chunk before the chunk's
-        remaining points are marked ``skipped``; a chunk-level crash marks
-        the whole chunk ``skipped`` (and uncached) instead of aborting.
-        Without a policy, the first failure propagates — but completed
-        chunks stay persisted, so a re-run resumes.
+        policy, each point runs through the resilience layer's per-point
+        loop: failures retry up to ``max_retries`` times (with
+        ``backoff_s``), an attempt over ``point_timeout_s`` is abandoned as
+        ``timeout``, and an abandoned point degrades to an ``unknown``
+        verdict; at most ``max_failures`` abandoned points are tolerated
+        per chunk before the chunk's remaining points are marked
+        ``skipped``; a chunk-level crash marks the whole chunk ``skipped``
+        (and uncached) instead of aborting.  Without a policy, the first
+        failure propagates — but completed chunks stay persisted, so a
+        re-run resumes.
     """
 
     def __init__(self, spec: DesignSpec, *,
                  cache: Optional[ResultCache] = None,
                  policy: Optional[FailurePolicy] = None) -> None:
+        super().__init__(resolve_engine(spec.engine), cache=cache,
+                         total=len(spec), chunk_size=spec.chunk_size,
+                         policy=policy)
         self.spec = spec
-        self.cache = cache
-        self.policy = policy
-        self.engine = resolve_engine(spec.engine)
         self._evaluator = _PointEvaluator(spec, self.engine)
-        #: Chunks recomputed / served from cache / lost to a chunk-level
-        #: failure during the last :meth:`run` call.
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
-        self.chunks_failed = 0
 
     # ------------------------------------------------------------- identity
 
@@ -356,65 +314,39 @@ class DeviceScan:
             else self.policy.as_dict(),
         }
 
-    def chunk_plan(self) -> List[DesignChunk]:
-        """The scan's chunks, in order, with their cache keys."""
-        total = len(self.spec)
-        chunks: List[DesignChunk] = []
-        for ordinal, start in enumerate(range(0, total,
-                                              self.spec.chunk_size)):
-            count = min(self.spec.chunk_size, total - start)
-            key = ""
-            if self.cache is not None:
-                key = self.cache.key_for(
-                    content_hash(self._chunk_context(start, count)))
-            chunks.append(DesignChunk(index=ordinal, start=start,
-                                      count=count, key=key))
-        return chunks
+    def _point_fields(self) -> Dict[str, Tuple[int, ...]]:
+        """Per-point payload fields; ``margins`` has one row per constraint."""
+        fields: Dict[str, Tuple[int, ...]] = {
+            "verdicts": (), "robustness": (), "on_currents": (),
+            "off_currents": (), "statuses": (),
+            "margins": (len(self._evaluator.constraints),)}
+        if self._evaluator.tolerance:
+            fields["yields"] = ()
+        return fields
 
     # ------------------------------------------------------------ execution
 
-    def _compute_chunk(self, start: int, count: int) -> Dict[str, Any]:
+    def _compute_chunk(self, chunk: Chunk) -> Payload:
         """Evaluate one chunk's points and assemble its payload."""
         inject("design.chunk")
         evaluator = self._evaluator
         n_constraints = len(evaluator.constraints)
         with_yield = bool(evaluator.tolerance)
-        policy = self.policy
-        outcomes: List[Dict[str, Any]] = []
-        statuses: List[str] = []
-        failures = 0
-        give_up = False
-        for flat_index in range(start, start + count):
-            if give_up:
-                outcomes.append(_unknown_point(n_constraints, with_yield))
-                statuses.append("skipped")
-                continue
-            if policy is None:
-                outcomes.append(evaluator.evaluate(flat_index))
-                statuses.append("ok")
-                continue
-            attempts = 1 + policy.max_retries
-            outcome: Optional[Dict[str, Any]] = None
-            for attempt in range(attempts):
-                try:
-                    outcome = evaluator.evaluate(flat_index)
-                    break
-                except Exception as error:  # noqa: BLE001 - policy run
-                    _LOG.debug("design point %d attempt %d failed: %r",
-                               flat_index, attempt + 1, error)
-            if outcome is None:
-                failures += 1
-                outcomes.append(_unknown_point(n_constraints, with_yield))
-                statuses.append("failed")
-                if policy.max_failures is not None \
-                        and failures > policy.max_failures:
-                    give_up = True
-            else:
-                outcomes.append(outcome)
-                statuses.append("ok")
-        payload: Dict[str, Any] = {
+        points = range(chunk.start, chunk.stop)
+        if self.policy is None:
+            outcomes = [evaluator.evaluate(flat_index)
+                        for flat_index in points]
+            statuses = [STATUS_OK] * chunk.count
+        else:
+            unknown = _unknown_point(n_constraints, with_yield)
+            outcomes, statuses = [], []
+            for _, outcome, record in run_points_with_policy(
+                    evaluator.evaluate, points, self.policy):
+                outcomes.append(unknown if outcome is None else outcome)
+                statuses.append(record.status)
+        payload: Payload = {
             "engine": self.engine.name,
-            "start": start,
+            "start": chunk.start,
             "verdicts": [o["verdict"] for o in outcomes],
             "robustness": [o["robustness"] for o in outcomes],
             "margins": [[o["margins"][row] for o in outcomes]
@@ -426,20 +358,6 @@ class DeviceScan:
         if with_yield:
             payload["yields"] = [o["yield"] for o in outcomes]
         return payload
-
-    def _valid_payload(self, chunk: DesignChunk,
-                       payload: Optional[Mapping]) -> bool:
-        """Whether a cached payload is shaped like this chunk's result."""
-        if payload is None:
-            return False
-        verdicts = payload.get("verdicts")
-        if not isinstance(verdicts, list) or len(verdicts) != chunk.count:
-            return False
-        margins = payload.get("margins")
-        if not isinstance(margins, list) \
-                or len(margins) != len(self._evaluator.constraints):
-            return False
-        return payload.get("engine") == self.engine.name
 
     def run(self, *, workers: int = 1) -> FeasibilityMap:
         """Run (or resume) the scan and return its feasibility map.
@@ -458,109 +376,34 @@ class DeviceScan:
             from checkpoints, and partial (``unknown`` verdicts,
             ``skipped`` statuses) when chunks were lost under the policy.
         """
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
-        self.chunks_failed = 0
-        plan = self.chunk_plan()
-        payloads: Dict[int, Mapping[str, Any]] = {}
-        pending: List[DesignChunk] = []
-        for chunk in plan:
-            cached = None if self.cache is None \
-                else self.cache.load(chunk.key)
-            if self._valid_payload(chunk, cached):
-                assert cached is not None
-                payloads[chunk.start] = cached
-                self.chunks_resumed += 1
-                _LOG.info("design: resumed chunk %d [%s]", chunk.index,
-                          chunk.key[:12])
-            else:
-                pending.append(chunk)
-        if workers > 1 and len(pending) > 1:
-            self._compute_parallel(pending, payloads, workers)
-        else:
-            for chunk in pending:
-                payload = self._guarded_compute(chunk)
-                if payload is not None:
-                    payloads[chunk.start] = payload
+        worker = partial(_compute_chunk_worker, self.spec.to_dict(),
+                         None if self.policy is None
+                         else self.policy.as_dict())
+        chunks = self._run_chunks(self._compute_chunk, workers=workers,
+                                  worker=worker)
+        constraints = self._evaluator.constraints
         merged = merge_chunk_payloads(
-            [payloads[start] for start in sorted(payloads)], len(self.spec))
-        constraints = tuple(
-            {"name": c.type_name, "kind": c.kind, "threshold": c.threshold}
-            for c in self._evaluator.constraints)
+            [payload for _, payload in chunks if payload is not None],
+            len(self.spec), len(constraints))
         return FeasibilityMap(
             spec_hash=self.spec.content_hash(), engine=self.engine.name,
             axes=tuple((axis.parameter, tuple(axis.grid().tolist()))
                        for axis in self.spec.axes),
-            constraints=constraints,
+            constraints=tuple(
+                {"name": c.type_name, "kind": c.kind,
+                 "threshold": c.threshold} for c in constraints),
             chunks_computed=self.chunks_computed,
             chunks_resumed=self.chunks_resumed, **merged)
 
-    def _guarded_compute(self,
-                         chunk: DesignChunk) -> Optional[Dict[str, Any]]:
-        """Compute one chunk, honouring the chunk-level failure contract."""
-        try:
-            payload = self._compute_chunk(chunk.start, chunk.count)
-        except Exception:
-            if self.policy is None:
-                raise
-            self.chunks_failed += 1
-            _LOG.warning("design: chunk %d lost under policy; the map "
-                         "will be partial", chunk.index)
-            return None
-        self._store(chunk, payload)
-        self.chunks_computed += 1
-        return payload
 
-    def _compute_parallel(self, pending: Sequence[DesignChunk],
-                          payloads: Dict[int, Mapping[str, Any]],
-                          workers: int) -> None:
-        """Fan pending chunks out over a process pool."""
-        spec_payload = self.spec.to_dict()
-        policy_payload = None if self.policy is None \
-            else self.policy.as_dict()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (chunk, pool.submit(_compute_chunk_worker, spec_payload,
-                                        policy_payload, chunk.start,
-                                        chunk.count))
-                    for chunk in pending]
-                for chunk, future in futures:
-                    try:
-                        payload = future.result()
-                    except Exception:
-                        if self.policy is None:
-                            raise
-                        self.chunks_failed += 1
-                        continue
-                    payloads[chunk.start] = payload
-                    self._store(chunk, payload)
-                    self.chunks_computed += 1
-        except Exception:
-            if self.policy is None:
-                raise
-            # Pool-level breakage (e.g. a crashed worker) degrades to the
-            # serial path for whatever is still missing.
-            for chunk in pending:
-                if chunk.start not in payloads:
-                    payload = self._guarded_compute(chunk)
-                    if payload is not None:
-                        payloads[chunk.start] = payload
-
-    def _store(self, chunk: DesignChunk, payload: Dict[str, Any]) -> None:
-        """Persist one finished chunk (no-op without a cache)."""
-        if self.cache is not None:
-            self.cache.store(chunk.key, payload)
-
-
-def _compute_chunk_worker(spec_payload: Mapping, policy_payload: Optional[
-        Mapping], start: int, count: int) -> Dict[str, Any]:
+def _compute_chunk_worker(spec_payload: Mapping,
+                          policy_payload: Optional[Mapping],
+                          chunk: Chunk) -> Payload:
     """Process-pool entry point: rebuild the scan and compute one chunk."""
     spec = DesignSpec.from_dict(spec_payload)
     policy = None if policy_payload is None \
         else FailurePolicy(**dict(policy_payload))
-    scan = DeviceScan(spec, cache=None, policy=policy)
-    return scan._compute_chunk(start, count)
+    return DeviceScan(spec, policy=policy)._compute_chunk(chunk)
 
 
 @dataclass(frozen=True)
@@ -620,20 +463,10 @@ def analyze_yield(spec: DesignSpec, flat_index: int = 0) -> YieldReport:
     if not evaluator.tolerance:
         raise ValidationError(
             "yield analysis needs a spec with component tolerances")
+    feasible = evaluator.feasible_samples(flat_index)
     device, temperature, drain_voltage, background = \
         evaluator.point_inputs(flat_index)
-    seed = derive_point_seed(spec.seed, flat_index) \
-        if evaluator.stochastic else None
-    feasible = 0
-    for sample in range(spec.tolerance_samples):
-        try:
-            deviated = evaluator.tolerance.sample_device(device, spec.seed,
-                                                         sample)
-            if evaluator.is_feasible(deviated, temperature, drain_voltage,
-                                     background, seed):
-                feasible += 1
-        except Exception:  # noqa: BLE001 - unbuildable sample = infeasible
-            continue
+    seed = evaluator.point_seed(flat_index)
     corners: List[Dict[str, Any]] = []
     worst_case = True
     for assignment, corner_device in \
@@ -655,10 +488,8 @@ def analyze_yield(spec: DesignSpec, flat_index: int = 0) -> YieldReport:
 
 
 __all__ = [
-    "DesignChunk",
     "DeviceScan",
     "YieldReport",
     "analyze_yield",
-    "derive_point_seed",
     "resolve_engine",
 ]

@@ -11,8 +11,10 @@ worst-case/Monte-Carlo harnesses do:
 * **worst-case corners**: the Cartesian product of every element's extreme
   values (the classic corner analysis);
 * **seeded sampling**: Monte-Carlo samples where each element draws from its
-  *own* SHA-256-derived seed stream (:func:`derive_element_seed`, the same
-  discipline as the checkpoint layer's per-chunk seeds).  Sample ``i`` of
+  *own* SHA-256-derived seed stream
+  (:func:`~repro.resilience.chunked.derive_seed` keyed on
+  ``(root_seed, element, sample_index)``, the same derivation as the
+  checkpoint layer's per-chunk seeds).  Sample ``i`` of
   element ``e`` is a pure function of ``(root seed, e, i)`` — never of axis
   iteration order, worker count, or how many other elements are toleranced —
   so tolerance-MC yield is bit-reproducible across any execution schedule.
@@ -21,7 +23,6 @@ worst-case/Monte-Carlo harnesses do:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple
@@ -30,6 +31,7 @@ import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
+from ..resilience.chunked import derive_seed
 
 #: Deviation kinds (mirrors the spicelib ``DeviationType`` vocabulary).
 DEVIATION_KINDS = ("tolerance", "minmax", "none")
@@ -39,33 +41,6 @@ DISTRIBUTIONS = ("uniform", "normal")
 
 #: Refuse corner enumerations larger than this (2**10 elements).
 _MAX_CORNERS = 1024
-
-
-def derive_element_seed(root_seed: int, element: str,
-                        sample_index: int) -> int:
-    """Deterministic per-element, per-sample seed.
-
-    Parameters
-    ----------
-    root_seed:
-        The design spec's root seed.
-    element:
-        Device parameter name (e.g. ``"junction_capacitance"``).
-    sample_index:
-        Monte-Carlo sample ordinal (0-based).
-
-    Returns
-    -------
-    int
-        A 32-bit seed: SHA-256 of ``"{root_seed}:{element}:{sample_index}"``,
-        stable across processes, platforms, and Python versions.  Because
-        the stream is keyed on the element *name* and sample *index* — not
-        on draw order — tolerance draws are independent of axis iteration
-        order and worker count.
-    """
-    token = f"{root_seed}:{element}:{sample_index}"
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 @dataclass(frozen=True)
@@ -280,14 +255,14 @@ class ToleranceModel:
         -------
         SETTransistor
             The deviated device (each toleranced element drawn from its own
-            :func:`derive_element_seed` stream).
+            ``derive_seed(root_seed, element, sample_index)`` stream).
         """
         overrides: Dict[str, float] = {}
         for element, deviation in self.deviations.items():
             if deviation.kind == "none":
                 continue
             rng = np.random.default_rng(
-                derive_element_seed(root_seed, element, sample_index))
+                derive_seed(root_seed, element, sample_index))
             overrides[element] = deviation.sample(
                 self._nominal(device, element), rng)
         if not overrides:
@@ -338,5 +313,4 @@ __all__ = [
     "DEVIATION_KINDS",
     "DISTRIBUTIONS",
     "ToleranceModel",
-    "derive_element_seed",
 ]

@@ -12,9 +12,12 @@ determinism or the engines' fast paths.  Four pieces:
 * :mod:`~repro.resilience.execution` — the optimistic executor behind
   ``Session.sweep(..., policy=...)`` and ``Session.stream(..., policy=...)``:
   fast path first, per-point salvage only on failure;
-* :mod:`~repro.resilience.checkpoint` — :class:`CheckpointedSweep`:
-  content-hashed, deterministically seeded chunks persisted through the
-  result cache, so killed sweeps resume bit-identically;
+* :mod:`~repro.resilience.chunked` — :class:`ChunkedRun`, the one
+  resumable executor: content-hashed, deterministically seeded chunks
+  (:func:`derive_seed`) persisted through the result cache, so killed runs
+  resume bit-identically; :mod:`~repro.resilience.checkpoint`'s
+  :class:`CheckpointedSweep` and the design layer's ``DeviceScan`` are its
+  clients;
 * :mod:`~repro.resilience.faults` + :mod:`~repro.resilience.events` — the
   deterministic fault-injection harness driving the chaos test suite, and
   the structured degradation events every fallback rung emits.
@@ -24,6 +27,7 @@ See ``docs/robustness.md`` for the user-facing guide.
 
 from typing import Any, List
 
+from .chunked import Chunk, ChunkedRun, derive_seed
 from .events import (
     DegradationEvent,
     capture_degradations,
@@ -61,8 +65,6 @@ _LAZY = {
     "solve_point_with_policy": "execution",
     "stream_with_policy": "execution",
     "CheckpointedSweep": "checkpoint",
-    "SweepChunk": "checkpoint",
-    "derive_chunk_seed": "checkpoint",
     "run_checkpointed_sweep": "checkpoint",
 }
 
@@ -86,6 +88,8 @@ def __dir__() -> List[str]:
 
 __all__ = [
     "CheckpointedSweep",
+    "Chunk",
+    "ChunkedRun",
     "DegradationEvent",
     "FailurePolicy",
     "FaultInjector",
@@ -99,11 +103,10 @@ __all__ = [
     "STATUS_RETRIED",
     "STATUS_SKIPPED",
     "STATUS_TIMEOUT",
-    "SweepChunk",
     "VALID_STATUSES",
     "active_injector",
     "capture_degradations",
-    "derive_chunk_seed",
+    "derive_seed",
     "emit_degradation",
     "empty_records",
     "inject",

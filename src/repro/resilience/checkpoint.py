@@ -14,86 +14,38 @@ uninterrupted run.
 
 Stochastic engines stay bit-reproducible because each chunk gets a
 *deterministic derived seed* — SHA-256 of the root seed and the chunk's
-start index — instead of sharing one warm random stream whose state would
-depend on how many chunks already ran.  Whatever chunk size you pick, the
-result is a pure function of ``(spec, root seed, chunk size)``; the chunk
-size is part of the content hash, so results computed at different chunk
-sizes never alias in the cache.
+start index (:func:`~repro.resilience.chunked.derive_seed`) — instead of
+sharing one warm random stream whose state would depend on how many chunks
+already ran.  Whatever chunk size you pick, the result is a pure function of
+``(spec, root seed, chunk size)``; the chunk size is part of the content
+hash, so results computed at different chunk sizes never alias in the
+cache.
 
-This is the foundation for the distributed sweep fabric (ROADMAP item 5):
-chunks are independent, content-addressed work units that any worker can
-compute and any coordinator can merge.
+Under a failure policy a chunk that crashes degrades instead of aborting:
+its points come back as NaN currents with ``skipped`` records, and the chunk
+stays uncached so a re-run heals the result.  The plan/load/store/count
+machinery is :class:`~repro.resilience.chunked.ChunkedRun`'s.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import logging
-from dataclasses import dataclass
+import math
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..engines.base import Engine, SweepAxes, SweepResult
-from ..errors import CheckpointError
 from ..io.results import ResultCache
+from .chunked import Chunk, ChunkedRun, Payload
 from .execution import run_policy_sweep
 from .faults import inject
-from .policy import FailurePolicy, PointRecord
-
-_LOG = logging.getLogger("repro.resilience")
+from .policy import FailurePolicy, PointRecord, empty_records
 
 
-def derive_chunk_seed(root_seed: Optional[int],
-                      start: int) -> Optional[int]:
-    """Deterministic per-chunk seed from the root seed and chunk start index.
-
-    Parameters
-    ----------
-    root_seed:
-        The sweep's root seed; ``None`` stays ``None`` (unseeded engines).
-    start:
-        Flat index of the chunk's first sweep point.
-
-    Returns
-    -------
-    int or None
-        A 32-bit seed, stable across processes and Python versions.
-    """
-    if root_seed is None:
-        return None
-    digest = hashlib.sha256(f"{root_seed}:{start}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
-@dataclass(frozen=True)
-class SweepChunk:
-    """One content-addressed unit of a checkpointed sweep.
-
-    Parameters
-    ----------
-    index:
-        Chunk ordinal (0-based).
-    start:
-        Flat index of the chunk's first point in the full axes.
-    axes:
-        The chunk's own gate slice (same drain bias as the full sweep).
-    seed:
-        Derived chunk seed (``None`` when the sweep is unseeded).
-    key:
-        Cache key the chunk's result is stored under.
-    """
-
-    index: int
-    start: int
-    axes: SweepAxes
-    seed: Optional[int]
-    key: str
-
-
-class CheckpointedSweep:
+class CheckpointedSweep(ChunkedRun):
     """A resumable gate sweep persisted chunk by chunk through a result cache.
 
     Parameters
@@ -109,13 +61,15 @@ class CheckpointedSweep:
     temperature:
         Operating temperature in kelvin.
     seed:
-        Root seed; each chunk derives its own via :func:`derive_chunk_seed`.
+        Root seed; each chunk derives its own via
+        :func:`~repro.resilience.chunked.derive_seed`.
     chunk_size:
         Sweep points per chunk (the resume granularity).
     policy:
         Optional per-point :class:`FailurePolicy`; when given, chunks run
-        through :func:`~repro.resilience.execution.run_policy_sweep` and the
-        merged result carries per-point status records.
+        through :func:`~repro.resilience.execution.run_policy_sweep`, the
+        merged result carries per-point status records, and a crashed chunk
+        degrades to ``skipped`` points instead of aborting the sweep.
     background_charge, max_events, warmup_events, replicas:
         Forwarded to :meth:`Engine.bind` (and folded into chunk identity).
     """
@@ -127,33 +81,24 @@ class CheckpointedSweep:
                  background_charge: Optional[float] = None,
                  max_events: int = 20_000, warmup_events: int = 1_000,
                  replicas: int = 0) -> None:
-        if chunk_size < 1:
-            raise CheckpointError("chunk_size must be at least 1")
         if isinstance(engine, str):
             from ..engines import get_engine
 
             engine = get_engine(engine)
-        self.engine = engine
+        super().__init__(engine, cache=cache, total=len(axes),
+                         chunk_size=chunk_size, policy=policy, seed=seed)
         self.device = device
         self.axes = axes
-        self.cache = cache
         self.temperature = float(temperature)
         self.seed = seed
-        self.chunk_size = int(chunk_size)
-        self.policy = policy
         self.background_charge = background_charge
         self.max_events = int(max_events)
         self.warmup_events = int(warmup_events)
         self.replicas = int(replicas)
-        #: Chunks recomputed by the last :meth:`run` call.
-        self.chunks_computed = 0
-        #: Chunks served from the cache by the last :meth:`run` call.
-        self.chunks_resumed = 0
 
     # ------------------------------------------------------------ identity
 
-    def _chunk_context(self, start: int,
-                       gates: Tuple[float, ...]) -> Dict[str, Any]:
+    def _chunk_context(self, start: int, count: int) -> Dict[str, Any]:
         """Everything that determines one chunk's numbers, as a JSON-able dict."""
         return {
             "kind": "checkpoint-chunk",
@@ -164,7 +109,8 @@ class CheckpointedSweep:
             "root_seed": self.seed,
             "chunk_size": self.chunk_size,
             "start": start,
-            "gate_voltages": list(gates),
+            "gate_voltages": list(
+                self.axes.gate_voltages[start:start + count]),
             "drain_voltage": self.axes.drain_voltage,
             "max_events": self.max_events,
             "warmup_events": self.warmup_events,
@@ -172,27 +118,15 @@ class CheckpointedSweep:
             "policy": None if self.policy is None else self.policy.as_dict(),
         }
 
-    def chunk_plan(self) -> List[SweepChunk]:
-        """The sweep's chunks, in order, with derived seeds and cache keys."""
-        from ..io.results import content_hash
-
-        chunks: List[SweepChunk] = []
-        gates = self.axes.gate_voltages
-        for ordinal, start in enumerate(range(0, len(gates),
-                                              self.chunk_size)):
-            slice_gates = gates[start:start + self.chunk_size]
-            axes = SweepAxes(slice_gates, self.axes.drain_voltage)
-            key = self.cache.key_for(
-                content_hash(self._chunk_context(start, slice_gates)))
-            chunks.append(SweepChunk(index=ordinal, start=start, axes=axes,
-                                     seed=derive_chunk_seed(self.seed, start),
-                                     key=key))
-        return chunks
+    def _point_fields(self) -> Dict[str, Tuple[int, ...]]:
+        """Per-point payload fields: currents, plus statuses under a policy."""
+        if self.policy is None:
+            return {"currents": ()}
+        return {"currents": (), "statuses": ()}
 
     # ------------------------------------------------------------ execution
 
-    def _compute_chunk(self, chunk: SweepChunk, *,
-                       workers: int) -> Dict[str, Any]:
+    def _compute_chunk(self, chunk: Chunk, *, workers: int) -> Payload:
         """Bind a fresh session for one chunk, run it, and return its payload."""
         inject("checkpoint.chunk")
         session = self.engine.bind(self.device, temperature=self.temperature,
@@ -201,12 +135,14 @@ class CheckpointedSweep:
                                    max_events=self.max_events,
                                    warmup_events=self.warmup_events,
                                    replicas=self.replicas)
+        axes = SweepAxes(self.axes.gate_voltages[chunk.start:chunk.stop],
+                         self.axes.drain_voltage)
         if self.policy is not None:
-            result = run_policy_sweep(session, chunk.axes, self.policy,
+            result = run_policy_sweep(session, axes, self.policy,
                                       workers=workers)
         else:
-            result = session.sweep(chunk.axes, workers=workers)
-        payload: Dict[str, Any] = {
+            result = session.sweep(axes, workers=workers)
+        payload: Payload = {
             "engine": result.engine,
             "currents": [float(value) for value in result.currents],
             "stderrs": None if result.stderrs is None
@@ -216,17 +152,6 @@ class CheckpointedSweep:
         if statuses is not None:
             payload["statuses"] = [record.as_dict() for record in statuses]
         return payload
-
-    def _valid_payload(self, chunk: SweepChunk,
-                       payload: Optional[Dict]) -> bool:
-        """Whether a cached chunk payload is shaped like this chunk's result."""
-        if payload is None:
-            return False
-        currents = payload.get("currents")
-        if not isinstance(currents, list) \
-                or len(currents) != len(chunk.axes):
-            return False
-        return payload.get("engine") == self.engine.name
 
     def run(self, *, workers: int = 1) -> SweepResult:
         """Run (or resume) the sweep, persisting each finished chunk.
@@ -240,45 +165,33 @@ class CheckpointedSweep:
         -------
         SweepResult
             The merged full-axes result; bit-identical whether or not the
-            run resumed from checkpoints.
+            run resumed from checkpoints.  A chunk lost under the policy
+            leaves NaN currents and ``skipped`` records at its points.
         """
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
         currents: List[float] = []
-        stderr_chunks: List[Optional[List[float]]] = []
+        stderrs: List[float] = []
+        any_stderrs = False
         statuses: List[PointRecord] = []
-        any_statuses = False
-        for chunk in self.chunk_plan():
-            payload = self.cache.load(chunk.key)
-            if self._valid_payload(chunk, payload):
-                self.chunks_resumed += 1
-                _LOG.info("checkpoint: resumed chunk %d [%s]",
-                          chunk.index, chunk.key[:12])
-            else:
-                payload = self._compute_chunk(chunk, workers=workers)
-                self.cache.store(chunk.key, payload)
-                self.chunks_computed += 1
-            assert payload is not None
+        compute = partial(self._compute_chunk, workers=workers)
+        for chunk, payload in self._run_chunks(compute):
+            if payload is None:   # lost under the policy
+                payload = {"currents": [math.nan] * chunk.count,
+                           "statuses": [record.as_dict() for record
+                                        in empty_records(chunk.count)]}
             currents.extend(payload["currents"])
-            stderr_chunks.append(payload.get("stderrs"))
-            chunk_statuses = payload.get("statuses")
-            if chunk_statuses is not None:
-                any_statuses = True
-                for entry in chunk_statuses:
-                    record = PointRecord.from_dict(entry)
-                    statuses.append(dataclasses.replace(
-                        record, index=record.index + chunk.start))
-        if any(values is not None for values in stderr_chunks):
-            stderrs: Optional[np.ndarray] = np.concatenate([
-                np.full(len(chunk_values), np.nan)
-                if chunk_values is None else np.asarray(chunk_values, float)
-                for chunk_values in stderr_chunks])
-        else:
-            stderrs = None
+            values = payload.get("stderrs")
+            any_stderrs = any_stderrs or values is not None
+            stderrs.extend([math.nan] * chunk.count if values is None
+                           else values)
+            for entry in payload.get("statuses") or ():
+                record = PointRecord.from_dict(entry)
+                statuses.append(dataclasses.replace(
+                    record, index=record.index + chunk.start))
         return SweepResult(
             axes=self.axes, currents=np.asarray(currents, dtype=float),
-            stderrs=stderrs, engine=self.engine.name,
-            statuses=tuple(statuses) if any_statuses else None)
+            stderrs=np.asarray(stderrs, dtype=float) if any_stderrs
+            else None, engine=self.engine.name,
+            statuses=tuple(statuses) if self.policy is not None else None)
 
 
 def run_checkpointed_sweep(engine: Union[str, Engine], device: SETTransistor,
@@ -313,7 +226,5 @@ def run_checkpointed_sweep(engine: Union[str, Engine], device: SETTransistor,
 
 __all__ = [
     "CheckpointedSweep",
-    "SweepChunk",
-    "derive_chunk_seed",
     "run_checkpointed_sweep",
 ]

@@ -15,7 +15,9 @@ the non-finite health guard, and the ``max_failures`` sweep budget.  Every
 point produces a typed :class:`~repro.resilience.policy.PointRecord`; the
 partial :class:`~repro.engines.base.SweepResult` carries them in its
 ``statuses`` field with NaN currents at abandoned points — a failed point
-degrades the result instead of aborting the sweep.
+degrades the result instead of aborting the sweep.  One per-point loop,
+:func:`run_points_with_policy`, serves sweep salvage, the health-guard
+re-solve, streams and the design scan's chunks.
 
 Worker-crash recovery: a ``workers > 1`` fan-out that raises is retried
 serially (one ``executor.pool`` degradation event) before per-point salvage
@@ -33,7 +35,16 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Callable, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -54,35 +65,34 @@ from .policy import (
     _shared_records,
 )
 
+T = TypeVar("T")
+
 
 def _event_detail(events: List[DegradationEvent]) -> str:
     """Compact ``site->action`` summary of captured degradation events."""
     return "; ".join(f"{e.site}->{e.action}" for e in events)
 
 
-def _call_with_timeout(solve: Callable[[BiasPoint], Observables],
-                       bias: BiasPoint,
-                       timeout_s: Optional[float]) -> Observables:
-    """Run one solve, optionally under a wall-clock watchdog.
+def _call_with_timeout(call: Callable[[], T],
+                       timeout_s: Optional[float]) -> T:
+    """Run one attempt, optionally under a wall-clock watchdog.
 
     Parameters
     ----------
-    solve:
-        The session's bound ``solve`` method.
-    bias:
-        The bias point to solve.
+    call:
+        The attempt (no arguments).
     timeout_s:
         Budget in seconds; ``None`` calls straight through (no thread).
 
     Returns
     -------
-    Observables
-        The solved point.
+    T
+        Whatever ``call`` returns.
     """
     if timeout_s is None:
-        return solve(bias)
+        return call()
     executor = ThreadPoolExecutor(max_workers=1)
-    future = executor.submit(solve, bias)
+    future = executor.submit(call)
     try:
         return future.result(timeout=timeout_s)
     except _FuturesTimeout:
@@ -90,6 +100,94 @@ def _call_with_timeout(solve: Callable[[BiasPoint], Observables],
             f"point solve exceeded point_timeout_s={timeout_s}") from None
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
+
+
+def _attempt_with_policy(call: Callable[[], T], index: int,
+                         policy: FailurePolicy
+                         ) -> Tuple[Optional[T], PointRecord]:
+    """One point's attempts: retry with backoff, timeout, degradation capture.
+
+    A timed-out attempt is not retried (a hung solver will hang again).
+    Returns the value (``None`` when abandoned) and the point's record.
+    """
+    attempts = 0
+    budget = 1 + policy.max_retries
+    last_error: Optional[BaseException] = None
+    while attempts < budget:
+        attempts += 1
+        try:
+            with capture_degradations() as events:
+                value = _call_with_timeout(call, policy.point_timeout_s)
+            if attempts > 1:
+                status = STATUS_RETRIED
+            elif events:
+                status = STATUS_DEGRADED
+            else:
+                status = STATUS_OK
+            return value, PointRecord(index=index, status=status,
+                                      attempts=attempts,
+                                      detail=_event_detail(events))
+        except PointTimeout as error:
+            return None, PointRecord(index=index, status=STATUS_TIMEOUT,
+                                     attempts=attempts, error=repr(error))
+        except Exception as error:
+            last_error = error
+            if attempts < budget:
+                backoff = policy.backoff_for(attempts)
+                if backoff > 0.0:
+                    time.sleep(backoff)
+    return None, PointRecord(index=index, status=STATUS_FAILED,
+                             attempts=attempts, error=repr(last_error))
+
+
+def run_points_with_policy(call: Callable[[int], T], indices: Iterable[int],
+                           policy: FailurePolicy
+                           ) -> Iterator[Tuple[int, Optional[T],
+                                               PointRecord]]:
+    """Attempt points in order under a failure policy, with its give-up.
+
+    Once more than ``policy.max_failures`` points were abandoned, every
+    remaining index is yielded as ``skipped`` without being attempted.
+
+    Parameters
+    ----------
+    call:
+        ``call(index)`` attempts one point; raising means it failed.
+    indices:
+        The points to attempt, in order.
+    policy:
+        The failure policy to apply.
+
+    Yields
+    ------
+    (index, T or None, PointRecord)
+        One triple per index; the value is ``None`` for abandoned and
+        skipped points.
+    """
+    failures = 0
+    for index in indices:
+        if policy.max_failures is not None \
+                and failures > policy.max_failures:
+            yield index, None, PointRecord(index=index, status=STATUS_SKIPPED,
+                                           attempts=0)
+            continue
+        value, record = _attempt_with_policy(partial(call, index), index,
+                                             policy)
+        if value is None:
+            failures += 1
+        yield index, value, record
+
+
+def _checked_solve(session: Session, bias: BiasPoint, index: int,
+                   health_guard: bool) -> Observables:
+    """One solve attempt: the fault site, the solve and the health guard."""
+    inject("session.solve")
+    observed = session.solve(bias)
+    if health_guard and not math.isfinite(observed.current):
+        raise SolverError(
+            f"non-finite current {observed.current!r} at sweep "
+            f"point {index} (health guard)")
+    return observed
 
 
 def solve_point_with_policy(session: Session, bias: BiasPoint, index: int,
@@ -118,40 +216,22 @@ def solve_point_with_policy(session: Session, bias: BiasPoint, index: int,
         The solved observables (``None`` when abandoned) and the typed
         status record.
     """
-    attempts = 0
-    budget = 1 + policy.max_retries
-    last_error: Optional[BaseException] = None
-    while attempts < budget:
-        attempts += 1
-        try:
-            with capture_degradations() as events:
-                inject("session.solve")
-                observed = _call_with_timeout(session.solve, bias,
-                                              policy.point_timeout_s)
-            if policy.health_guard and not math.isfinite(observed.current):
-                raise SolverError(
-                    f"non-finite current {observed.current!r} at sweep "
-                    f"point {index} (health guard)")
-            if attempts > 1:
-                status = STATUS_RETRIED
-            elif events:
-                status = STATUS_DEGRADED
-            else:
-                status = STATUS_OK
-            return observed, PointRecord(index=index, status=status,
-                                         attempts=attempts,
-                                         detail=_event_detail(events))
-        except PointTimeout as error:
-            return None, PointRecord(index=index, status=STATUS_TIMEOUT,
-                                     attempts=attempts, error=repr(error))
-        except Exception as error:
-            last_error = error
-            if attempts < budget:
-                backoff = policy.backoff_for(attempts)
-                if backoff > 0.0:
-                    time.sleep(backoff)
-    return None, PointRecord(index=index, status=STATUS_FAILED,
-                             attempts=attempts, error=repr(last_error))
+    return _attempt_with_policy(
+        partial(_checked_solve, session, bias, index, policy.health_guard),
+        index, policy)
+
+
+def _solve_sweep_points(session: Session, axes: SweepAxes,
+                        policy: FailurePolicy, indices: Iterable[int]
+                        ) -> Iterator[Tuple[int, Optional[Observables],
+                                            PointRecord]]:
+    """:func:`run_points_with_policy` over points of one gate sweep."""
+    def solve(index: int) -> Observables:
+        bias = BiasPoint(gate_voltage=axes.gate_voltages[index],
+                         drain_voltage=axes.drain_voltage)
+        return _checked_solve(session, bias, index, policy.health_guard)
+
+    return run_points_with_policy(solve, indices, policy)
 
 
 def _fast_sweep(session: Session, axes: SweepAxes,
@@ -166,19 +246,6 @@ def _fast_sweep(session: Session, axes: SweepAxes,
     return session.sweep(axes, workers=1)
 
 
-def _merge_stderr(stderrs: Optional[np.ndarray], index: int,
-                  value: Optional[float]) -> Optional[np.ndarray]:
-    """Write one salvaged stderr into the (possibly absent) stderr array."""
-    if value is None:
-        if stderrs is not None:
-            stderrs[index] = np.nan
-        return stderrs
-    if stderrs is None:
-        return stderrs
-    stderrs[index] = value
-    return stderrs
-
-
 def _salvage_sweep(session: Session, axes: SweepAxes,
                    policy: FailurePolicy) -> SweepResult:
     """Per-point execution of the whole sweep (the fast path raised)."""
@@ -186,24 +253,12 @@ def _salvage_sweep(session: Session, axes: SweepAxes,
     currents = np.full(n_points, np.nan)
     stderr_values: List[Optional[float]] = [None] * n_points
     records: List[PointRecord] = []
-    failures = 0
-    stopped = False
-    for index, bias in enumerate(axes.bias_points()):
-        if stopped:
-            records.append(PointRecord(index=index, status=STATUS_SKIPPED,
-                                       attempts=0))
-            continue
-        observed, record = solve_point_with_policy(session, bias, index,
-                                                   policy)
+    for index, observed, record in _solve_sweep_points(
+            session, axes, policy, range(n_points)):
         records.append(record)
-        if observed is None:
-            failures += 1
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                stopped = True
-            continue
-        currents[index] = observed.current
-        stderr_values[index] = observed.stderr
+        if observed is not None:
+            currents[index] = observed.current
+            stderr_values[index] = observed.stderr
     if any(value is not None for value in stderr_values):
         stderrs: Optional[np.ndarray] = np.asarray(
             [np.nan if value is None else value for value in stderr_values])
@@ -258,26 +313,15 @@ def run_policy_sweep(session: Session, axes: SweepAxes,
     stderrs = None if fast.stderrs is None \
         else np.array(fast.stderrs, dtype=float, copy=True)
     if policy.health_guard:
-        failures = 0
-        for index in np.flatnonzero(~np.isfinite(currents)).tolist():
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                records[index] = PointRecord(index=index,
-                                             status=STATUS_SKIPPED,
-                                             attempts=0)
-                continue
-            bias = BiasPoint(gate_voltage=axes.gate_voltages[index],
-                             drain_voltage=axes.drain_voltage)
-            observed, record = solve_point_with_policy(session, bias, index,
-                                                       policy)
+        unhealthy = np.flatnonzero(~np.isfinite(currents)).tolist()
+        for index, observed, record in _solve_sweep_points(
+                session, axes, policy, unhealthy):
             records[index] = record
-            if observed is None:
-                failures += 1
-                currents[index] = np.nan
-                stderrs = _merge_stderr(stderrs, index, None)
-                continue
-            currents[index] = observed.current
-            stderrs = _merge_stderr(stderrs, index, observed.stderr)
+            currents[index] = np.nan if observed is None \
+                else observed.current
+            if stderrs is not None:
+                stderr = None if observed is None else observed.stderr
+                stderrs[index] = np.nan if stderr is None else stderr
     return SweepResult(axes=axes, currents=currents, stderrs=stderrs,
                        engine=fast.engine, statuses=tuple(records))
 
@@ -309,30 +353,20 @@ def stream_with_policy(session: Session, axes: SweepAxes,
     (gate_voltage, Observables)
         One pair per attempted point, in axis order.
     """
-    failures = 0
-    points = list(axes.bias_points())
-    for index, bias in enumerate(points):
-        observed, record = solve_point_with_policy(session, bias, index,
-                                                   policy)
+    for index, observed, record in _solve_sweep_points(
+            session, axes, policy, range(len(axes))):
         if on_status is not None:
             on_status(record)
+        if record.status == STATUS_SKIPPED:
+            continue   # the budget is spent: notify, but yield no more
         if observed is None:
-            failures += 1
             observed = Observables(current=float("nan"),
                                    engine=session.engine_name)
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                yield bias.gate_voltage, observed
-                if on_status is not None:
-                    for rest in range(index + 1, len(points)):
-                        on_status(PointRecord(index=rest,
-                                              status=STATUS_SKIPPED,
-                                              attempts=0))
-                return
-        yield bias.gate_voltage, observed
+        yield axes.gate_voltages[index], observed
 
 
 __all__ = [
+    "run_points_with_policy",
     "run_policy_sweep",
     "solve_point_with_policy",
     "stream_with_policy",

@@ -1,16 +1,28 @@
 """Chaos tests: design scans must degrade, stay partial, and resume."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.design import UNKNOWN, DeviceScan
+from repro.design.scan import _compute_chunk_worker
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache
 from repro.resilience import FailurePolicy, FaultInjector
+from repro.resilience.events import capture_degradations
 from repro.resilience.faults import SITES
 
 from .conftest import make_spec
 from .test_scan import comparable
+
+
+def _worker_dying_on_chunk_1(spec_payload, policy_payload, chunk):
+    """A pool worker whose process dies while computing chunk 1."""
+    if chunk.index == 1:
+        os._exit(1)
+    return _compute_chunk_worker(spec_payload, policy_payload, chunk)
 
 
 class TestFaultSites:
@@ -73,6 +85,35 @@ class TestMidScanCrash:
         assert comparable(healed) == comparable(
             DeviceScan(spec, policy=policy).run())
 
+    def test_losing_every_chunk_under_policy_yields_an_empty_map(self):
+        scan = DeviceScan(make_spec(), policy=FailurePolicy.lenient())
+        chaos = FaultInjector(seed=3)
+        chaos.arm("design.chunk", times=None)
+        with chaos:
+            lost = scan.run()
+        assert scan.chunks_failed == 3
+        assert scan.chunks_computed == 0
+        assert lost.is_partial
+        assert lost.counts()["unknown"] == 9
+        assert lost.statuses == ("skipped",) * 9
+        assert lost.margins.shape == (3, 9)
+        assert np.all(np.isnan(lost.margins))
+
+    def test_crashed_worker_is_recomputed_serially(self, monkeypatch):
+        spec = make_spec()
+        policy = FailurePolicy.lenient()
+        serial = DeviceScan(spec, policy=policy).run()
+        monkeypatch.setattr("repro.design.scan._compute_chunk_worker",
+                            _worker_dying_on_chunk_1)
+        scan = DeviceScan(spec, policy=policy)
+        with capture_degradations() as events:
+            recovered = scan.run(workers=2)
+        assert scan.chunks_failed == 0
+        assert scan.chunks_computed == 3
+        assert recovered.payload_json() == serial.payload_json()
+        assert [(e.site, e.action) for e in events] == \
+            [("executor.pool", "recover:serial")]
+
 
 class TestPointDegradation:
     def test_point_failures_degrade_to_unknown_verdicts(self):
@@ -98,10 +139,29 @@ class TestPointDegradation:
                   error=RuntimeError("transient"))
         with chaos:
             feasibility = scan.run()
-        assert feasibility.statuses == ("ok",) * 9
+        assert feasibility.statuses.count("retried") == 1
+        assert feasibility.statuses.count("ok") == 8
         assert not feasibility.is_partial
-        assert comparable(feasibility) == comparable(
-            DeviceScan(spec, policy=FailurePolicy(max_retries=1)).run())
+        # Apart from the one status, the map equals a never-faulted run's.
+        clean = DeviceScan(spec, policy=FailurePolicy(max_retries=1)).run()
+        assert comparable(replace(feasibility, statuses=clean.statuses)) \
+            == comparable(clean)
+
+    def test_point_over_its_timeout_is_recorded_timeout(self):
+        spec = make_spec()
+        scan = DeviceScan(spec, policy=FailurePolicy(max_retries=2,
+                                                     point_timeout_s=0.05))
+        chaos = FaultInjector(seed=4)
+        chaos.arm("design.point", after=4, times=1, delay_s=0.2)
+        with chaos:
+            feasibility = scan.run()
+        statuses = list(feasibility.statuses)
+        assert statuses[4] == "timeout"
+        assert statuses.count("ok") == 8
+        assert feasibility.verdicts[4] == UNKNOWN
+        assert feasibility.counts()["unknown"] == 1
+        # A timed-out point is abandoned, not retried.
+        assert chaos.calls("design.point") == 9
 
     def test_max_failures_skips_the_rest_of_the_chunk(self):
         spec = make_spec(chunk_size=9)

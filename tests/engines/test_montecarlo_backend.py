@@ -15,7 +15,6 @@ from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.engines import BiasPoint, SweepAxes, get_engine
 from repro.engines.adapters import MonteCarloSession
-from repro.errors import FaultInjected
 from repro.io.results import ResultCache
 import repro.montecarlo.jit as jit_module
 from repro.montecarlo.jit import jit_backend, jit_compiled
@@ -129,6 +128,10 @@ class TestBitIdentityWithTheNumpyOracle:
         assert observed == reference
 
 
+class _Killed(BaseException):
+    """A kill mid-sweep: unlike a chunk error, no failure policy absorbs it."""
+
+
 class TestCheckpointsAcrossBackends:
     """Chunk keys name the engine, not its event loop.
 
@@ -151,10 +154,10 @@ class TestCheckpointsAcrossBackends:
         cache = ResultCache(tmp_path / "mixed")
         interrupted = self.sweep(device, axes, cache)
         chaos = FaultInjector()
-        chaos.arm("checkpoint.chunk", after=1, times=1)
+        chaos.arm("checkpoint.chunk", after=1, times=1, error=_Killed())
         with monkeypatch.context() as numpy_only:
             numpy_only.setattr(jit_module, "jit_compiled", lambda: False)
-            with chaos, pytest.raises(FaultInjected):
+            with chaos, pytest.raises(_Killed):
                 interrupted.run()
         assert interrupted.chunks_computed == 1
 

@@ -11,7 +11,7 @@ from repro.resilience import (
     CheckpointedSweep,
     FailurePolicy,
     FaultInjector,
-    derive_chunk_seed,
+    derive_seed,
     run_checkpointed_sweep,
 )
 
@@ -49,17 +49,20 @@ def assert_results_identical(reference, resumed):
 
 
 class TestDerivedSeeds:
-    def test_none_root_seed_stays_none(self):
-        assert derive_chunk_seed(None, 0) is None
+    def test_unseeded_sweep_has_unseeded_chunks(self, device, axes,
+                                                tmp_path):
+        plan = checkpointed("analytic", device, axes, ResultCache(tmp_path),
+                            seed=None).chunk_plan()
+        assert [chunk.seed for chunk in plan] == [None, None]
 
     def test_deterministic_and_start_dependent(self):
-        assert derive_chunk_seed(123, 0) == derive_chunk_seed(123, 0)
-        assert derive_chunk_seed(123, 0) != derive_chunk_seed(123, 2)
-        assert derive_chunk_seed(123, 0) != derive_chunk_seed(124, 0)
+        assert derive_seed(123, 0) == derive_seed(123, 0)
+        assert derive_seed(123, 0) != derive_seed(123, 2)
+        assert derive_seed(123, 0) != derive_seed(124, 0)
 
     def test_fits_in_32_bits(self):
         for start in range(0, 64, 8):
-            seed = derive_chunk_seed(99, start)
+            seed = derive_seed(99, start)
             assert 0 <= seed < 2 ** 32
 
 
@@ -69,7 +72,7 @@ class TestChunkPlan:
                              ResultCache(tmp_path))
         plan = sweep.chunk_plan()
         assert [chunk.start for chunk in plan] == [0, 2]
-        assert [len(chunk.axes) for chunk in plan] == [2, 2]
+        assert [chunk.count for chunk in plan] == [2, 2]
         assert len({chunk.key for chunk in plan}) == len(plan)
         # Same configuration -> same keys (that is what makes resume work).
         again = checkpointed("analytic", device, axes, ResultCache(tmp_path))
@@ -219,3 +222,37 @@ class TestPolicyIntegration:
         replayed = second.run()
         assert second.chunks_resumed == 2
         assert replayed.statuses == expected.statuses
+
+    @pytest.mark.parametrize("engine", ["analytic", "montecarlo"])
+    def test_chunk_crash_under_policy_degrades_and_a_rerun_heals(
+            self, engine, device, axes, tmp_path):
+        policy = FailurePolicy()
+        expected = checkpointed(engine, device, axes,
+                                ResultCache(tmp_path / "clean"),
+                                policy=policy).run()
+        cache = ResultCache(tmp_path / "damaged")
+        damaged_sweep = checkpointed(engine, device, axes, cache,
+                                     policy=policy)
+        chaos = FaultInjector()
+        chaos.arm("checkpoint.chunk", after=1, times=1)
+        with chaos:
+            damaged = damaged_sweep.run()
+        # No abort: the second chunk is lost, its points are NaN/skipped.
+        assert damaged_sweep.chunks_failed == 1
+        assert damaged_sweep.chunks_computed == 1
+        assert np.array_equal(damaged.currents[:2], expected.currents[:2])
+        assert np.all(np.isnan(damaged.currents[2:]))
+        if expected.stderrs is None:
+            assert damaged.stderrs is None
+        else:
+            assert np.all(np.isnan(damaged.stderrs[2:]))
+        assert [(r.index, r.status) for r in damaged.statuses] == [
+            (0, "ok"), (1, "ok"), (2, "skipped"), (3, "skipped")]
+        # The lost chunk was never cached, so a plain re-run completes it.
+        healed_sweep = checkpointed(engine, device, axes, cache,
+                                    policy=policy)
+        healed = healed_sweep.run()
+        assert healed_sweep.chunks_resumed == 1
+        assert healed_sweep.chunks_computed == 1
+        assert_results_identical(expected, healed)
+        assert healed.statuses == expected.statuses
