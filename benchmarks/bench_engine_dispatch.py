@@ -12,8 +12,8 @@ engine families:
 * ``master``: circuit + :class:`~repro.master.MasterEquationSolver` +
   structure-reusing ``sweep_source`` versus a bound ``MasterSession``;
 * ``montecarlo``: circuit + seeded
-  :class:`~repro.montecarlo.MonteCarloSimulator` on the event loop the
-  engine binds (compiled when ``jit_compiled()``) + warm-started
+  :class:`~repro.montecarlo.MonteCarloSimulator` (the same advance-loop
+  backend the engine binds) + warm-started
   ``sweep_source`` versus a bound ``MonteCarloSession`` (identical seeds, so
   both sides do event-for-event the same stochastic work).
 
@@ -60,7 +60,7 @@ from repro.engines import (
     register_engine,
 )
 from repro.master import MasterEquationSolver
-from repro.montecarlo import MonteCarloSimulator, jit_compiled
+from repro.montecarlo import MonteCarloSimulator
 
 try:
     from .conftest import print_experiment_header, standard_transistor
@@ -104,7 +104,7 @@ def direct_montecarlo(device, gates):
     circuit = device.build_circuit()
     circuit.set_source_voltage("VD", DRAIN_VOLTAGE)
     simulator = MonteCarloSimulator(circuit, temperature=TEMPERATURE,
-                                    seed=SEED, jit=jit_compiled())
+                                    seed=SEED)
     _, currents, _ = simulator.sweep_source(
         "VG", gates, "J_drain", max_events=MAX_EVENTS,
         warmup_events=WARMUP_EVENTS, warm_start=True)

@@ -1,11 +1,13 @@
-"""Ensemble throughput — batched replicas versus sequential scalar runs.
+"""Ensemble throughput — batched replicas versus sequential interpreted runs.
 
-PR 1 bought ~10x inside a single trajectory; this benchmark measures what
-replica batching buys *across* trajectories: a 64-replica ensemble advanced
+This benchmark measures what replica batching buys *across* trajectories
+where no compiler is available: a 64-replica ensemble advanced in lockstep
 through :meth:`MonteCarloKernel.step_ensemble` (one macro-step advances every
 replica by one event with batched NumPy operations, replicas in the same
 charge configuration sharing one memoised rate table) against the same total
-event budget executed as 64 sequential scalar fast-path runs.
+event budget executed as 64 sequential runs of the interpreted advance loop
+(the ``python`` backend).  With a native backend, sequential runs of the
+compiled loop are faster than either (see ``BENCH_jit.json``).
 
 The numbers go to ``BENCH_ensemble.json`` in the repository root so the
 performance trajectory is tracked across PRs.  Run it either through pytest
@@ -21,11 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo.jit import BACKEND_PYTHON
 
 try:
-    from .conftest import print_experiment_header, standard_transistor
+    from .conftest import (advance_backend, machine, print_experiment_header,
+                           standard_transistor)
 except ImportError:  # executed directly
-    from conftest import print_experiment_header, standard_transistor
+    from conftest import (advance_backend, machine, print_experiment_header,
+                          standard_transistor)
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -59,13 +64,14 @@ def measure_ensemble() -> float:
 
 
 def measure_sequential() -> float:
-    """Aggregate events/second of R sequential scalar fast-path runs.
+    """Aggregate events/second of R sequential interpreted-loop runs.
 
     The simulator (and its warm kernel caches) is reused across the runs so
     the comparison isolates the per-event loop overhead, not construction
     costs.
     """
-    simulator = build_simulator()
+    with advance_backend(BACKEND_PYTHON):
+        simulator = build_simulator()
     state = simulator.new_state()
     simulator.run(max_events=WARMUP_EVENTS, state=state)
     total = 0
@@ -88,6 +94,8 @@ def run_benchmark() -> dict:
         "temperature_K": TEMPERATURE,
         "drain_voltage_V": DRAIN_VOLTAGE,
         "gate_voltage_V": GATE_VOLTAGE,
+        "machine": machine(),
+        "sequential_backend": BACKEND_PYTHON,
         "replicas": REPLICAS,
         "events_per_replica": EVENTS_PER_REPLICA,
         "ensemble_events_per_second": round(ensemble, 1),
@@ -102,7 +110,7 @@ def test_ensemble_throughput():
     print_experiment_header(
         "ENSEMBLE",
         f"{REPLICAS}-replica batched stepping >= {REQUIRED_SPEEDUP:.0f}x "
-        f"{REPLICAS} sequential scalar runs")
+        f"{REPLICAS} sequential interpreted runs")
     payload = run_benchmark()
     print(f"ensemble   : {payload['ensemble_events_per_second']:>12,.0f} events/s")
     print(f"sequential : {payload['sequential_events_per_second']:>12,.0f} events/s")
@@ -112,7 +120,7 @@ def test_ensemble_throughput():
 
 
 def test_single_replica_matches_scalar_trajectory():
-    """R = 1 ensemble replays the scalar fast path event for event."""
+    """R = 1 lockstep ensemble replays kernel.step() event for event."""
     scalar = build_simulator()
     batched = build_simulator()
     state = scalar.new_state()

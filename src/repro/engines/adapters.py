@@ -9,14 +9,14 @@ Each adapter wraps one existing backend without re-implementing any physics:
   rate values between operating points;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
-  bias points.  Sessions run the compiled advance loop of
-  :mod:`repro.montecarlo.jit` whenever a native backend (numba or a
-  C/ctypes build) loaded, and the numpy fast path otherwise; both replay
-  the same trajectory bit for bit at any given seed;
-* ``ensemble`` — the same simulator advancing ``R`` batched replicas, with
-  replica-spread error bars;
-* ``ensemble-jit`` — the ensemble on the compiled advance loop.  Its
-  replicas run one after another, so for ``R >= 2`` it consumes the random
+  bias points, every event run by the advance loop of
+  :mod:`repro.montecarlo.jit` (compiled where a numba or C/ctypes backend
+  loaded, interpreted otherwise; the same trajectory bit for bit either
+  way);
+* ``ensemble`` — the same simulator advancing ``R`` batched replicas in
+  lockstep, with replica-spread error bars;
+* ``ensemble-jit`` — the ensemble with its replicas run one after another
+  through the advance loop, so for ``R >= 2`` it consumes the random
   stream in a different order than the lockstep ``ensemble`` engine; it
   declares itself ``available`` only when a native backend loaded.
 
@@ -400,10 +400,9 @@ class MonteCarloSession(_CircuitSession):
     The simulator is constructed once at bind time, so its event tables,
     memoised rate cache, and seeded random stream persist across
     :meth:`solve` calls and power the warm-started :meth:`sweep`.
-    ``jit=True`` runs the compiled advance loop (what
-    :meth:`MonteCarloEngine.bind` picks when a native backend loaded);
-    the default ``jit=False`` keeps the numpy fast path, the oracle the
-    compiled loop is tested against.
+    ``sequential_replicas`` picks the ensemble driver of the subclass (see
+    :class:`~repro.montecarlo.simulator.MonteCarloSimulator`); a single
+    trajectory ignores it.
     """
 
     #: Replica count; ``0`` on the single-trajectory engine, >= 2 on the
@@ -416,7 +415,7 @@ class MonteCarloSession(_CircuitSession):
                  max_events: int = 20_000,
                  warmup_events: int = 1_000,
                  engine_name: Optional[str] = None,
-                 jit: bool = False) -> None:
+                 sequential_replicas: bool = False) -> None:
         from ..montecarlo.simulator import MonteCarloSimulator
 
         super().__init__(engine_name or MonteCarloEngine.name, device,
@@ -424,9 +423,9 @@ class MonteCarloSession(_CircuitSession):
         self.seed = seed
         self.max_events = int(max_events)
         self.warmup_events = int(warmup_events)
-        self.simulator = MonteCarloSimulator(self._circuit,
-                                             temperature=self.temperature,
-                                             seed=seed, jit=jit)
+        self.simulator = MonteCarloSimulator(
+            self._circuit, temperature=self.temperature, seed=seed,
+            sequential_replicas=sequential_replicas)
 
     def solve(self, bias: BiasPoint) -> Observables:
         """Stationary-current estimate at one bias point, with error bar."""
@@ -489,12 +488,12 @@ class EnsembleSession(MonteCarloSession):
                  max_events: int = 20_000, warmup_events: int = 1_000,
                  replicas: int = 2,
                  engine_name: Optional[str] = None,
-                 jit: bool = False) -> None:
+                 sequential_replicas: bool = False) -> None:
         super().__init__(device, temperature, seed=seed,
                          background_charge=background_charge,
                          max_events=max_events, warmup_events=warmup_events,
                          engine_name=engine_name or EnsembleEngine.name,
-                         jit=jit)
+                         sequential_replicas=sequential_replicas)
         self.replicas = int(replicas) if int(replicas) >= 1 else 2
 
 
@@ -507,7 +506,7 @@ class MonteCarloEngine(Engine):
         """Stochastic-complete, single-trajectory block-averaged statistics.
 
         The description names the event-loop backend in use, and the
-        per-point cost reflects the compiled loop when one loaded.
+        per-point cost reflects whether that loop is compiled.
         """
         from ..montecarlo.jit import jit_backend, jit_compiled
 
@@ -522,28 +521,18 @@ class MonteCarloEngine(Engine):
                            per_point_s=5e-4 if compiled else 5e-3),
             description="kinetic Monte Carlo: co-tunnelling, traps, "
                         "transients; warm-started sweeps; block-averaged "
-                        "error bars (event loop: "
-                        f"{jit_backend() if compiled else 'numpy'})")
+                        f"error bars (event loop: {jit_backend()})")
 
     def bind(self, device: SETTransistor, *, temperature: float,
              seed: Optional[int] = None,
              background_charge: Optional[float] = None,
              max_events: int = 20_000, warmup_events: int = 1_000,
              replicas: int = 0) -> MonteCarloSession:
-        """Bind a warm single-trajectory session (``replicas`` ignored).
-
-        The session runs the compiled advance loop when a native backend
-        loaded and the numpy fast path otherwise; the two are bit-identical
-        at any seed.  ``MonteCarloSession(..., jit=False)`` binds the numpy
-        path explicitly.
-        """
-        from ..montecarlo.jit import jit_compiled
-
+        """Bind a warm single-trajectory session (``replicas`` ignored)."""
         return MonteCarloSession(device, temperature, seed=seed,
                                  background_charge=background_charge,
                                  max_events=max_events,
-                                 warmup_events=warmup_events,
-                                 jit=jit_compiled())
+                                 warmup_events=warmup_events)
 
 
 class EnsembleEngine(Engine):
@@ -582,11 +571,11 @@ class EnsembleEngine(Engine):
 
 
 class EnsembleJitEngine(Engine):
-    """Batched multi-replica Monte Carlo on the compiled advance loop.
+    """Batched multi-replica Monte Carlo, replicas run in turn.
 
-    Replicas advance sequentially through the compiled kernel, so an
-    ``R = 1`` session replays the scalar engines bit for bit; larger
-    ensembles agree statistically (the lockstep numpy interleaving
+    Each replica runs its whole budget through the advance loop, so an
+    ``R = 1`` session replays the single-trajectory engine bit for bit;
+    larger ensembles agree statistically (the lockstep numpy interleaving
     consumes the random stream in a different order).  Registered
     unconditionally; ``available=False`` without a native backend.
     """
@@ -620,7 +609,8 @@ class EnsembleJitEngine(Engine):
                                max_events=max_events,
                                warmup_events=warmup_events,
                                replicas=replicas,
-                               engine_name=self.name, jit=True)
+                               engine_name=self.name,
+                               sequential_replicas=True)
 
 
 register_engine(AnalyticEngine())

@@ -1,11 +1,10 @@
-"""Compiled hot loop for the kinetic Monte-Carlo kernel.
+"""The Monte-Carlo event loop: one advance function, three backends.
 
-The pure-numpy fast path in :mod:`repro.montecarlo.kernel` pays Python-level
-dispatch once per event (scalar path) or once per macro-step (ensemble path).
-This module compiles the *entire* inner loop — rate-table lookup, cumulative-
-row event selection, configuration update, transfer accounting and time
-accumulation — into a single native function that runs thousands of events
-per call over the flat arrays exported by the kernel's
+Every single-trajectory run of the kinetic Monte-Carlo kernel, and every
+sequential ensemble run, executes in this module's advance loop: rate-table
+lookup, cumulative-row event selection, configuration update (charge
+transfer or trap flip), transfer and trap-flip accounting and time
+accumulation, over the flat arrays exported by the kernel's
 ``_EnsembleCursor`` mirrors.
 
 Backend ladder
@@ -26,18 +25,18 @@ at first use (override with ``REPRO_JIT_BACKEND``):
     tests bit-exact.
 ``python``
     The interpreted loop itself.  Always available; slow, but the
-    correctness reference for the re-entry protocol.
+    canonical source the other two are checked against, and the event loop
+    of installs without a compiler.
 
 :func:`jit_compiled` reports whether a *native* backend (numba or cc) is
-active.  The ``montecarlo`` engine binds its sessions to the compiled loop
-exactly when it is, and the ``ensemble-jit`` engine uses it as its
-availability flag, so ``select_engine`` adopts that engine only when the
-speedup is real.
+active.  The ``montecarlo`` engine's cost model and the ``ensemble-jit``
+engine's availability follow it, so ``select_engine`` adopts the compiled
+ensemble only when the speedup is real.
 
 Re-entry protocol
 -----------------
-The native loop cannot call back into Python (for RNG block refills or
-lazy successor linking), so it runs until it either finishes or needs the
+The loop cannot call back into Python (for RNG block refills or lazy
+successor linking), so it runs until it either finishes or needs the
 driver, returning a status code:
 
 ========================  ====================================================
@@ -46,14 +45,17 @@ driver, returning a status code:
 ``STATUS_NEED_EXP``       the exponential block buffer is exhausted
 ``STATUS_NEED_UNIFORM``   the uniform block buffer is exhausted
 ``STATUS_NEED_LINK``      a (configuration, event) transition is unlinked
+``STATUS_STEPPED``        one step finished in single-step mode
 ========================  ====================================================
 
 All resumable state lives in two small register arrays (``ireg``/``freg``,
 see the ``REG_*``/``FREG_*`` indices) so the driver can refill a buffer or
 link a successor and re-enter mid-event.  Buffer refills happen exactly at
-the consumption points, preserving the scalar path's interleaved draw order
-from the shared generator — the property that makes an event-for-event
-replay of :meth:`MonteCarloKernel.step` possible.
+the consumption points, so every backend consumes the generator's stream
+in the same order.  With ``REG_SINGLE_STEP`` set the loop returns after
+every *step* (an executed, censored or blockaded attempt at an event):
+how records, occupation statistics and :meth:`MonteCarloKernel.step`
+observe it.  Columns from ``REG_TRAP_START`` on flip a charge trap.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
@@ -74,6 +77,7 @@ STATUS_BLOCKED = 1
 STATUS_NEED_EXP = 2
 STATUS_NEED_UNIFORM = 3
 STATUS_NEED_LINK = 4
+STATUS_STEPPED = 5
 
 #: ``ireg`` (int64) register layout shared by all backends.
 REG_SLOT = 0            #: current cursor slot
@@ -81,15 +85,20 @@ REG_EVENTS = 1          #: events executed this run
 REG_EXP_POS = 2         #: read position in the exponential block buffer
 REG_UNI_POS = 3         #: read position in the uniform block buffer
 REG_PENDING_EVENT = 4   #: selected-but-unapplied event index (-1: none)
-REG_STALLS = 5          #: consecutive zero-progress iterations
-IREG_SIZE = 6
+REG_STALLS = 5          #: consecutive steps without an event
+REG_LAST_EVENT = 6      #: index of the last executed event (-1: none)
+REG_TRAP_START = 7      #: first trap-flip column (input)
+REG_TRAP_FLIPS = 8      #: trap flips executed this run
+REG_SINGLE_STEP = 9     #: 1: return STATUS_STEPPED after every step (input)
+IREG_SIZE = 10
 
 #: ``freg`` (float64) register layout shared by all backends.
 FREG_TIME = 0           #: simulated clock
 FREG_PENDING_WAIT = 1   #: drawn-but-unapplied waiting time (-1.0: none)
 FREG_START = 2          #: clock value at run start
 FREG_DURATION = 3       #: time budget (+inf: unbounded)
-FREG_SIZE = 4
+FREG_LAST_WAIT = 4      #: waiting time of the last executed event
+FREG_SIZE = 5
 
 #: Recognised ``REPRO_JIT_BACKEND`` values.
 BACKEND_NUMBA = "numba"
@@ -109,11 +118,12 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     """Advance the trajectory until done or the driver is needed.
 
     One call executes as many events as the register state, the random
-    block buffers and the linked successor matrix allow, mutating
-    ``transfers``/``ireg``/``freg`` in place and returning a ``STATUS_*``
-    code.  This is the canonical implementation: the numba backend compiles
-    exactly this function and the C backend is its line-for-line
-    translation, so all three consume the random stream identically.
+    block buffers and the linked successor matrix allow (one step in
+    single-step mode), mutating ``transfers``/``ireg``/``freg`` in place
+    and returning a ``STATUS_*`` code.  This is the canonical
+    implementation: the numba backend compiles exactly this function and
+    the C backend is its line-for-line translation, so all three consume
+    the random stream identically.
     """
     n_events = cumulative.shape[1]
     n_junctions = transfer_matrix.shape[1]
@@ -123,40 +133,44 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     uni_pos = ireg[REG_UNI_POS]
     pending_event = ireg[REG_PENDING_EVENT]
     stalls = ireg[REG_STALLS]
+    last_event = ireg[REG_LAST_EVENT]
+    trap_start = ireg[REG_TRAP_START]
+    trap_flips = ireg[REG_TRAP_FLIPS]
+    single_step = ireg[REG_SINGLE_STEP] != 0
     time = freg[FREG_TIME]
     wait = freg[FREG_PENDING_WAIT]
     start = freg[FREG_START]
     duration = freg[FREG_DURATION]
+    last_wait = freg[FREG_LAST_WAIT]
     exp_len = exp_buf.shape[0]
     uni_len = uni_buf.shape[0]
     bounded = duration < _INF
     status = STATUS_DONE
     while True:
         if wait < 0.0:
-            # Start a new event: budget checks, blockade handling, waiting
-            # time — the same order as the scalar run()/step() pair.
+            # Start a new step: budget checks, stall limit, blockade
+            # handling, waiting time.
             if events >= max_events:
                 status = STATUS_DONE
                 break
             if bounded and time - start >= duration:
                 status = STATUS_DONE
                 break
+            if stalls > 3:
+                # Several steps in a row without an event: blockaded at
+                # T = 0 with no time budget to burn, or a remaining budget
+                # that rounds to nothing.
+                status = STATUS_DONE if bounded else STATUS_BLOCKED
+                break
             total = totals[slot]
             if total <= 0.0:
+                # Blockaded: burn the remaining budget, apply nothing.
                 if bounded:
                     remaining = duration - (time - start)
                     time = time + remaining
-                    if time - start >= duration:
-                        status = STATUS_DONE
-                        break
-                    stalls += 1
-                    if stalls > 3:
-                        status = STATUS_DONE
-                        break
-                    continue
                 stalls += 1
-                if stalls > 3:
-                    status = STATUS_BLOCKED
+                if single_step:
+                    status = STATUS_STEPPED
                     break
                 continue
             if exp_pos >= exp_len:
@@ -170,12 +184,9 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
                     # Censored: burn the remaining budget, apply nothing.
                     time = time + remaining
                     wait = -1.0
-                    if time - start >= duration:
-                        status = STATUS_DONE
-                        break
                     stalls += 1
-                    if stalls > 3:
-                        status = STATUS_DONE
+                    if single_step:
+                        status = STATUS_STEPPED
                         break
                     continue
         if pending_event < 0:
@@ -186,7 +197,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             uni_pos += 1
             # count(cumulative <= threshold) over the non-decreasing row is
             # exactly searchsorted(..., side="right"), clamped to the last
-            # positive-rate event as in the scalar path.
+            # positive-rate event.
             index = 0
             while index < n_events and cumulative[slot, index] <= threshold:
                 index += 1
@@ -205,18 +216,28 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
         for junction in range(n_junctions):
             transfers[junction] = transfers[junction] \
                 + transfer_matrix[index, junction]
+        if index >= trap_start:
+            trap_flips += 1
         slot = successor
         events += 1
         stalls = 0
+        last_event = index
+        last_wait = wait
         wait = -1.0
+        if single_step:
+            status = STATUS_STEPPED
+            break
     ireg[REG_SLOT] = slot
     ireg[REG_EVENTS] = events
     ireg[REG_EXP_POS] = exp_pos
     ireg[REG_UNI_POS] = uni_pos
     ireg[REG_PENDING_EVENT] = pending_event
     ireg[REG_STALLS] = stalls
+    ireg[REG_LAST_EVENT] = last_event
+    ireg[REG_TRAP_FLIPS] = trap_flips
     freg[FREG_TIME] = time
     freg[FREG_PENDING_WAIT] = wait
+    freg[FREG_LAST_WAIT] = last_wait
     return status
 
 
@@ -246,28 +267,33 @@ long long repro_mc_advance(
     long long uni_pos = ireg[3];
     long long pending_event = ireg[4];
     long long stalls = ireg[5];
+    long long last_event = ireg[6];
+    long long trap_start = ireg[7];
+    long long trap_flips = ireg[8];
+    int single_step = ireg[9] != 0;
     double time = freg[0];
     double wait = freg[1];
     double start = freg[2];
     double duration = freg[3];
+    double last_wait = freg[4];
     int bounded = isfinite(duration);
     long long status = 0;  /* DONE */
     for (;;) {
         if (wait < 0.0) {
             if (events >= max_events) { status = 0; break; }
             if (bounded && time - start >= duration) { status = 0; break; }
+            if (stalls > 3) {
+                status = bounded ? 0 : 1;  /* DONE : BLOCKED */
+                break;
+            }
             double total = totals[slot];
             if (total <= 0.0) {
                 if (bounded) {
                     double remaining = duration - (time - start);
                     time = time + remaining;
-                    if (time - start >= duration) { status = 0; break; }
-                    stalls += 1;
-                    if (stalls > 3) { status = 0; break; }
-                    continue;
                 }
                 stalls += 1;
-                if (stalls > 3) { status = 1; break; }  /* BLOCKED */
+                if (single_step) { status = 5; break; }  /* STEPPED */
                 continue;
             }
             if (exp_pos >= exp_len) { status = 2; break; }  /* NEED_EXP */
@@ -278,9 +304,8 @@ long long repro_mc_advance(
                 if (wait > remaining) {
                     time = time + remaining;
                     wait = -1.0;
-                    if (time - start >= duration) { status = 0; break; }
                     stalls += 1;
-                    if (stalls > 3) { status = 0; break; }
+                    if (single_step) { status = 5; break; }  /* STEPPED */
                     continue;
                 }
             }
@@ -310,10 +335,14 @@ long long repro_mc_advance(
         for (long long junction = 0; junction < n_junctions; junction++)
             transfers[junction] = transfers[junction]
                 + transfer_row[junction];
+        if (index >= trap_start) trap_flips += 1;
         slot = successor;
         events += 1;
         stalls = 0;
+        last_event = index;
+        last_wait = wait;
         wait = -1.0;
+        if (single_step) { status = 5; break; }  /* STEPPED */
     }
     ireg[0] = slot;
     ireg[1] = events;
@@ -321,8 +350,11 @@ long long repro_mc_advance(
     ireg[3] = uni_pos;
     ireg[4] = pending_event;
     ireg[5] = stalls;
+    ireg[6] = last_event;
+    ireg[8] = trap_flips;
     freg[0] = time;
     freg[1] = wait;
+    freg[4] = last_wait;
     return status;
 }
 """
@@ -388,28 +420,40 @@ def _load_cc_advance() -> Optional[Callable]:
         native = library.repro_mc_advance
     except (OSError, AttributeError):
         return None
-    # Pointer arguments are raw addresses: ``arr.ctypes.data`` is one
-    # attribute read, where ``data_as`` builds a typed pointer object per
-    # array per call.  The addresses carry no dtype, so callers must pass
+    # Pointer arguments are raw addresses, with no dtype: callers must pass
     # C-contiguous float64/int64 arrays exactly as the kernel builds them.
+    # ``arr.ctypes.data`` costs about as much as the native call, so each
+    # thread reuses the addresses of the arrays its previous call passed
+    # (holding them keeps the addresses valid).
     pointer = ctypes.c_void_p
     int64 = ctypes.c_longlong
     native.restype = int64
     native.argtypes = [pointer, pointer, pointer, pointer, pointer,
                        pointer, pointer, int64, pointer, int64,
                        pointer, pointer, int64, int64, int64]
+    local = threading.local()
 
     def advance(totals, cumulative, last_selectable, successor_slots,
                 transfer_matrix, transfers, exp_buf, uni_buf,
                 ireg, freg, max_events):
         """ctypes shim matching :func:`_advance_py`'s signature."""
+        arrays = (totals, cumulative, last_selectable, successor_slots,
+                  transfer_matrix, transfers, exp_buf, uni_buf, ireg, freg)
+        previous = getattr(local, "arrays", None)
+        if previous is None:
+            previous = local.arrays = [None] * len(arrays)
+            local.addresses = [0] * len(arrays)
+        addresses = local.addresses
+        for position, array in enumerate(arrays):
+            if array is not previous[position]:
+                previous[position] = array
+                addresses[position] = array.ctypes.data
         return native(
-            totals.ctypes.data, cumulative.ctypes.data,
-            last_selectable.ctypes.data, successor_slots.ctypes.data,
-            transfer_matrix.ctypes.data, transfers.ctypes.data,
-            exp_buf.ctypes.data, exp_buf.shape[0],
-            uni_buf.ctypes.data, uni_buf.shape[0],
-            ireg.ctypes.data, freg.ctypes.data,
+            addresses[0], addresses[1], addresses[2], addresses[3],
+            addresses[4], addresses[5],
+            addresses[6], exp_buf.shape[0],
+            addresses[7], uni_buf.shape[0],
+            addresses[8], addresses[9],
             max_events, cumulative.shape[1], transfer_matrix.shape[1])
 
     return advance
@@ -503,11 +547,13 @@ def jit_backend() -> str:
 def jit_compiled() -> bool:
     """Whether a *native* (numba or C) advance loop is active.
 
-    The ``montecarlo`` engine runs its sessions on the compiled loop only
-    when this is true, and the ``ensemble-jit`` engine reports it as its
-    availability: with only the interpreted loop on offer that engine still
-    works but advertises ``available=False`` so capability-based selection
-    keeps preferring the numpy ensemble.
+    Every kernel runs its events in the advance loop whatever the backend;
+    this only says whether that loop is compiled.  The ``montecarlo``
+    engine prices its points by it, and the ``ensemble-jit`` engine reports
+    it as its availability: with only the interpreted loop on offer that
+    engine still works but advertises ``available=False`` so
+    capability-based selection keeps preferring the lockstep numpy
+    ensemble.
     """
     try:
         return jit_backend() != BACKEND_PYTHON
@@ -525,6 +571,7 @@ __all__ = [
     "BACKEND_NUMBA",
     "BACKEND_PYTHON",
     "FREG_DURATION",
+    "FREG_LAST_WAIT",
     "FREG_PENDING_WAIT",
     "FREG_SIZE",
     "FREG_START",
@@ -532,15 +579,20 @@ __all__ = [
     "IREG_SIZE",
     "REG_EVENTS",
     "REG_EXP_POS",
+    "REG_LAST_EVENT",
     "REG_PENDING_EVENT",
+    "REG_SINGLE_STEP",
     "REG_SLOT",
     "REG_STALLS",
+    "REG_TRAP_FLIPS",
+    "REG_TRAP_START",
     "REG_UNI_POS",
     "STATUS_BLOCKED",
     "STATUS_DONE",
     "STATUS_NEED_EXP",
     "STATUS_NEED_LINK",
     "STATUS_NEED_UNIFORM",
+    "STATUS_STEPPED",
     "clear_backend_cache",
     "jit_backend",
     "jit_compiled",

@@ -6,39 +6,43 @@ The kernel implements the classic rejection-free (Gillespie / BKL) algorithm:
 2. draw the waiting time from an exponential distribution with the total rate,
 3. pick one event with probability proportional to its rate and apply it.
 
-Two implementations of the hot path coexist:
+One event loop runs every trajectory, plus an oracle:
 
-* The **fast path** (default) evaluates all events through precomputed array
-  tables: the free-energy changes of every tunnel event come from one gather
-  over the island potentials (:class:`~repro.core.energy.EventTable`), the
-  rates from the array-valued :func:`~repro.core.rates.orthodox_rate_vec` /
-  :func:`~repro.core.rates.cotunneling_rate_vec`, and event selection from a
-  single pass over the cumulative rate table.  Because the rates depend only
-  on the charge configuration (the process is Markovian), every visited
-  configuration is memoised as a :class:`_RateEntry` holding its island
-  potentials, its cumulative rate table and links to the successor entries of
-  each event.  Island potentials of a newly discovered configuration are
-  obtained *incrementally* from the parent entry — the event's precomputed
-  ``delta_phi`` column combination of ``C^-1`` — instead of a full linear
-  solve; a full re-solve every ``resync_interval`` new entries bounds
-  floating-point drift.  The memo is invalidated on source-voltage or offset
-  changes (detected in O(1) through the circuit's version counters) and keyed
-  by trap occupation, so telegraph noise does not thrash it.  Waiting-time
-  and selection randoms are drawn in blocks rather than one scalar at a time.
+* The **advance loop** (default) of :mod:`repro.montecarlo.jit` selects and
+  applies events over precomputed rate tables.  Because the rates depend
+  only on the charge configuration and the trap occupation (the process is
+  Markovian), every visited (configuration, trap bits) pair is memoised as
+  a :class:`_RateEntry` holding its island potentials, its cumulative rate
+  table (tunnel events, then co-tunnel events, then one flip per trap) and
+  links to the successor entry of each event.  The free-energy changes come
+  from one gather over the island potentials
+  (:class:`~repro.core.energy.EventTable`) and the rates from the
+  array-valued :func:`~repro.core.rates.orthodox_rate_vec` /
+  :func:`~repro.core.rates.cotunneling_rate_vec`.  The island potentials of
+  a configuration reached by a tunnel event are derived *incrementally*
+  from the parent entry (the event's precomputed ``delta_phi`` column
+  combination of ``C^-1``); a full re-solve every ``resync_interval`` new
+  entries bounds floating-point drift, and a trap flip, which shifts every
+  potential, is always solved exactly.  The memo is invalidated on
+  source-voltage or offset changes, detected in O(1) through the circuit's
+  version counters.  The loop walks the entries' dense mirrors in an
+  :class:`_EnsembleCursor`; :meth:`MonteCarloKernel.run_compiled` runs
+  whole trajectories (records and occupation statistics observed one step
+  per re-entry) and :meth:`MonteCarloKernel.step` is a one-step call.
 * The **reference path** (``fast_path=False``) is the original per-candidate
   scalar implementation, kept verbatim as an independently-derived check; the
   test-suite asserts both paths produce the same rates.
 
-On top of the scalar fast path sits the **ensemble mode**
-(:meth:`MonteCarloKernel.step_ensemble`): ``R`` independent replicas advance
-one event each per macro-step, with waiting times, event selection and state
-updates executed as batched NumPy operations over all replicas.  Replicas in
-the same charge configuration share one memoised :class:`_RateEntry`, so the
-rate-table cost is paid once per *configuration* rather than once per
-replica, and the per-event Python overhead is amortised over the whole
-ensemble.  A single-replica ensemble consumes the block random buffers in
-exactly the scalar order, so ``R = 1`` reproduces the scalar fast path
-event for event — the correctness anchor the test-suite enforces.
+Ensembles have two drivers over the same rate tables.  The **lockstep**
+mode (:meth:`MonteCarloKernel.step_ensemble`) advances ``R`` independent
+replicas one event each per macro-step, with waiting times, event
+selection and state updates executed as batched NumPy operations over all
+replicas; replicas in the same configuration share one memoised entry.
+The **sequential** mode (:meth:`MonteCarloKernel.run_ensemble_compiled`)
+runs each replica's whole budget through the advance loop in turn.  Both
+consume the block random buffers in the scalar order at ``R = 1``, so an
+``R = 1`` ensemble replays a single trajectory event for event — the
+correctness anchor the test-suite enforces.
 
 The kernel is deliberately separated from the user-facing
 :class:`~repro.montecarlo.simulator.MonteCarloSimulator` so the same stepping
@@ -48,7 +52,7 @@ machinery can be reused by specialised drivers (e.g. the RNG bit sampler).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,10 +65,14 @@ from ..core.rates import (
     orthodox_rate_vec,
 )
 from ..errors import SimulationError
+from ..resilience.events import emit_degradation
+from ..resilience.faults import inject
 from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import (
+    BACKEND_PYTHON,
     FREG_DURATION,
+    FREG_LAST_WAIT,
     FREG_PENDING_WAIT,
     FREG_SIZE,
     FREG_START,
@@ -72,20 +80,27 @@ from .jit import (
     IREG_SIZE,
     REG_EVENTS,
     REG_EXP_POS,
+    REG_LAST_EVENT,
     REG_PENDING_EVENT,
+    REG_SINGLE_STEP,
     REG_SLOT,
+    REG_TRAP_FLIPS,
+    REG_TRAP_START,
     REG_UNI_POS,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_UNIFORM,
+    STATUS_STEPPED,
+    _advance_py,
+    resolve_advance,
 )
+from .observables import EventRecord, OccupationStatistics
 from .state import EnsembleState, SimulationState
 
 Candidate = Union[TunnelCandidate, CotunnelCandidate, TrapCandidate]
 
-#: Stand-in state for trapless ensemble rate evaluations (the rate helpers
-#: only consult ``state.trap_occupancy``, which is empty here by design).
-_TRAPLESS = SimulationState(time=0.0, electrons=np.empty(0, dtype=np.int64))
+#: Event budget of a run without ``max_events`` (never reached).
+_UNBOUNDED_EVENTS = 1 << 62
 
 
 @dataclass(slots=True)
@@ -124,40 +139,41 @@ class EnsembleStep:
 
 
 class _EnsembleCursor:
-    """Per-ensemble bookkeeping linking replicas to memoised rate entries.
+    """Dense mirrors of memoised rate entries, walked by the event loops.
 
-    ``slots[r]`` is the index of replica ``r``'s configuration in
-    ``entries``; ``slot_of`` maps ``id(entry)`` back to a slot so successor
-    configurations discovered during stepping are registered once.  The
-    per-slot data (total rates, cumulative tables, last-selectable indices,
-    successor slots) is mirrored into dense arrays so a macro-step needs no
-    Python loop over replicas or configurations: event selection is one
-    broadcast comparison against the gathered cumulative rows and successor
-    lookup one 2-D gather, with a slow-path resolution only the first time a
-    (configuration, event) transition is taken.  The cursor is valid for one
-    kernel cache epoch; a bias/offset change invalidates it wholesale
+    ``slots[r]`` is the index of replica ``r``'s entry in ``entries`` (the
+    single-trajectory cursor tracks no replicas and leaves it empty);
+    ``slot_of`` maps ``id(entry)`` back to a slot so successor entries
+    discovered during stepping are registered once.  The per-slot data
+    (total rates, cumulative tables, last-selectable indices, successor
+    slots) is mirrored into dense arrays, ``n_columns`` wide (charge
+    events, then one flip per trap), so a step needs no Python: event
+    selection is a comparison against the slot's cumulative row and the
+    successor lookup one gather, with a slow-path link only the first time
+    a (configuration, event) transition is taken.  The cursor is valid for
+    one kernel cache epoch; a bias/offset change invalidates it wholesale
     (detected through ``epoch``).
     """
 
-    __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
+    __slots__ = ("epoch", "slots", "entries", "slot_of", "n_columns",
                  "n_islands", "totals", "cumulative", "last_selectable",
                  "successor_slots", "configurations", "_dirty")
 
     def __init__(self, epoch: int, slots: np.ndarray,
-                 entries: List["_RateEntry"], n_events: int,
+                 entries: List["_RateEntry"], n_columns: int,
                  n_islands: int) -> None:
         self.epoch = epoch
         self.slots = slots
         self.entries: List["_RateEntry"] = []
         self.slot_of: dict = {}
-        self.n_events = n_events
+        self.n_columns = n_columns
         self.n_islands = n_islands
         self.totals = np.empty(0)
-        self.cumulative = np.empty((0, n_events))
+        self.cumulative = np.empty((0, n_columns))
         self.last_selectable = np.empty(0, dtype=np.int64)
         #: ``successor_slots[s, k]`` is the slot reached from slot ``s`` via
         #: event ``k``, or ``-1`` when that transition has not been taken yet.
-        self.successor_slots = np.empty((0, n_events), dtype=np.int64)
+        self.successor_slots = np.empty((0, n_columns), dtype=np.int64)
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector,
         #: used to detect external mutation of ``ensemble.electrons``.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
@@ -193,11 +209,9 @@ class _EnsembleCursor:
         known = self.totals.size
         count = len(self.entries)
         totals = np.empty(count)
-        # Pad with +inf so a padded column can never be counted by the
-        # threshold comparison (rows always fill the row when trapless).
-        cumulative = np.full((count, self.n_events), np.inf)
+        cumulative = np.empty((count, self.n_columns))
         last = np.empty(count, dtype=np.int64)
-        successors = np.full((count, self.n_events), -1, dtype=np.int64)
+        successors = np.full((count, self.n_columns), -1, dtype=np.int64)
         configurations = np.empty((count, self.n_islands), dtype=np.int64)
         totals[:known] = self.totals
         cumulative[:known] = self.cumulative
@@ -207,7 +221,7 @@ class _EnsembleCursor:
         for slot in range(known, count):
             entry = self.entries[slot]
             totals[slot] = entry.total
-            cumulative[slot, :entry.cumulative.size] = entry.cumulative
+            cumulative[slot] = entry.cumulative
             last[slot] = entry.last_selectable
             configurations[slot] = entry.electrons
         self.totals = totals
@@ -219,26 +233,30 @@ class _EnsembleCursor:
 
 
 class _RateEntry:
-    """Memoised per-configuration data of the fast path.
+    """Memoised data of one (configuration, trap occupation) pair.
 
     ``electrons`` is the canonical configuration vector (never handed out
-    without a copy), ``phi`` its island potentials, ``cumulative``/``total``
-    the inclusive rate table used for event selection, and ``successors`` the
-    lazily linked entries reached by each tunnel / co-tunnel event.
+    without a copy) and ``electron_tuple`` the same as plain ints,
+    ``trap_bits`` the occupied traps (bit ``i`` for the circuit's ``i``-th
+    trap), ``phi`` the island potentials, ``cumulative``/``total`` the
+    inclusive rate table used for event selection, and ``successors`` the
+    lazily linked entries reached by each event column.
     """
 
-    __slots__ = ("electrons", "phi", "cumulative", "total", "last_selectable",
-                 "successors")
+    __slots__ = ("electrons", "electron_tuple", "trap_bits", "phi",
+                 "cumulative", "total", "last_selectable", "successors")
 
-    def __init__(self, electrons: np.ndarray, phi: np.ndarray,
-                 cumulative: np.ndarray, total: float, last_selectable: int,
-                 n_events: int) -> None:
+    def __init__(self, electrons: np.ndarray, trap_bits: int,
+                 phi: np.ndarray, cumulative: np.ndarray, total: float,
+                 last_selectable: int, n_columns: int) -> None:
         self.electrons = electrons
+        self.electron_tuple = tuple(int(value) for value in electrons)
+        self.trap_bits = trap_bits
         self.phi = phi
         self.cumulative = cumulative
         self.total = total
         self.last_selectable = last_selectable
-        self.successors: List[Optional["_RateEntry"]] = [None] * n_events
+        self.successors: List[Optional["_RateEntry"]] = [None] * n_columns
 
 
 class MonteCarloKernel:
@@ -255,34 +273,28 @@ class MonteCarloKernel:
     include_cotunneling:
         Whether second-order (co-tunnelling) channels are simulated.
     fast_path:
-        Use the vectorized event-table implementation (default).  Set to
-        ``False`` to run the scalar reference implementation instead.
+        Run events through the advance loop over memoised rate tables
+        (default).  Set to ``False`` to run the scalar reference
+        implementation instead.
     resync_interval:
         Number of incrementally-derived configurations between full
         island-potential re-solves on the fast path (bounds floating-point
         drift).  ``1`` re-solves for every new configuration.
-    jit:
-        Enable the compiled advance loop (:mod:`repro.montecarlo.jit`) for
-        :meth:`run_compiled`/:meth:`run_ensemble_compiled`.  ``True`` picks
-        the best available backend (numba, then C, then the interpreted
-        reference loop); a string pins one backend by name.  Requires
-        ``fast_path=True``.
+
+    The advance loop's backend is resolved once, at construction, by
+    :func:`repro.montecarlo.jit.resolve_advance` (pinned with
+    ``$REPRO_JIT_BACKEND``); :attr:`backend` names it.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
                  rng: np.random.Generator,
                  include_cotunneling: bool = False,
                  fast_path: bool = True,
-                 resync_interval: int = 1024,
-                 jit: Union[bool, str] = False) -> None:
+                 resync_interval: int = 1024) -> None:
         if temperature < 0.0:
             raise SimulationError("temperature must be non-negative")
         if resync_interval < 1:
             raise SimulationError("resync_interval must be at least 1")
-        if jit and not fast_path:
-            raise SimulationError(
-                "the compiled advance loop drives the fast-path rate "
-                "tables; jit requires fast_path=True")
         self.circuit = circuit
         self.temperature = float(temperature)
         self.rng = rng
@@ -306,6 +318,8 @@ class MonteCarloKernel:
         self._cot_table = (CotunnelTable(self.model, self.cotunnel_candidates)
                            if self._n_cot else None)
         self._n_traps = len(self.traps)
+        #: Width of a rate row: charge events, then one flip per trap.
+        self._n_columns = self._n_events + self._n_traps
         self._trap_capture_rates = np.array(
             [1.0 / trap.capture_time for trap in self.traps], dtype=float)
         self._trap_emission_rates = np.array(
@@ -315,8 +329,8 @@ class MonteCarloKernel:
         self._trap_emission_candidates = [TrapCandidate(trap, capture=False)
                                           for trap in self.traps]
         # Flat per-event apply data (tunnel events first, then co-tunnels):
-        # candidate object, electron-number delta, potential delta and the
-        # (junction, direction) transfer bookkeeping, each one list index away.
+        # candidate object, electron-number delta and potential delta, each
+        # one list index away.
         self._event_candidates: List[Candidate] = (
             list(self.tunnel_candidates) + list(self.cotunnel_candidates))
         self._event_delta_n = [self._table.delta_n[k]
@@ -328,12 +342,11 @@ class MonteCarloKernel:
                                     for c in range(self._n_cot)]
             self._event_delta_phi += [self._cot_table.delta_phi[c]
                                       for c in range(self._n_cot)]
-        self._event_transfers = [candidate.charge_transfers()
-                                 for candidate in self._event_candidates]
-        # Dense per-event matrices for the ensemble path: row k of
-        # ``_delta_n_matrix`` updates all islands of event k at once, row k of
+        # Dense per-event matrices: row k of ``_delta_n_matrix`` updates all
+        # islands of charge event k at once (lockstep ensembles), row k of
         # ``_transfer_matrix`` its per-junction electron-transfer tally (the
-        # circuit's junction order, matching EnsembleState.junction_names).
+        # circuit's junction order, matching EnsembleState.junction_names);
+        # the trap-flip rows move no charge.
         n_islands = self.model.island_count
         self._junction_order = {junction.name: column for column, junction
                                 in enumerate(circuit.junctions())}
@@ -344,29 +357,28 @@ class MonteCarloKernel:
         else:
             self._delta_n_matrix = np.zeros((0, n_islands), dtype=np.int64)
         self._transfer_matrix = np.zeros(
-            (self._n_events, len(self._junction_order)), dtype=float)
-        for index, transfers in enumerate(self._event_transfers):
-            for name, direction in transfers:
+            (self._n_columns, len(self._junction_order)), dtype=float)
+        for index, candidate in enumerate(self._event_candidates):
+            for name, direction in candidate.charge_transfers():
                 self._transfer_matrix[index, self._junction_order[name]] \
                     += direction
 
         # ------------------------------------------- preallocated buffers
-        self._rates = np.zeros(self._n_events + self._n_traps, dtype=float)
+        self._rates = np.zeros(self._n_columns, dtype=float)
         self._delta_f = np.empty(self._n_tunnel, dtype=float)
 
         # ----------------------------------------------- cache bookkeeping
         self._voltages: Optional[np.ndarray] = None
         self._bias_version = -1
+        #: Static island offset charges (no trap occupied).
         self._offsets: Optional[np.ndarray] = None
         self._offsets_version = -1
-        self._trap_snapshot: Optional[dict] = None
-        self._trap_bits = 0
         self._entries_since_resync = 0
         #: Memoised :class:`_RateEntry` per (configuration, trap occupation).
         self._rate_cache: dict = {}
         self._rate_cache_limit = 65536
-        # Bumped on every cache clear so ensemble cursors (which hold direct
-        # entry references) can detect staleness in O(1).
+        # Bumped on every cache clear so cursors (which hold direct entry
+        # references) can detect staleness in O(1).
         self._cache_epoch = 0
         # Block-drawn randoms (consumed left to right, refilled on demand).
         self._exp_buffer = np.empty(0)
@@ -375,32 +387,25 @@ class MonteCarloKernel:
         self._uniform_position = 0
         self._random_block = 4096
 
-        # ------------------------------------------------ compiled backend
-        self._jit_backend: Optional[str] = None
-        self._jit_advance = None
-        if jit:
-            from .jit import resolve_advance
-
-            requested = None if jit is True else str(jit)
-            self._jit_backend, self._jit_advance = resolve_advance(requested)
-        #: Cursor reused by :meth:`run_compiled` across calls (same dense
-        #: mirrors as the ensemble cursor, with a single tracked slot).
+        # ------------------------------------------------------ event loop
+        self._backend, self._advance = resolve_advance()
+        #: Cursor reused by single-trajectory runs and steps across calls.
         self._scalar_cursor: Optional[_EnsembleCursor] = None
+        # Registers and transfer tally reused by every run: a native call
+        # reads array addresses, which are cheapest for arrays it has seen.
+        self._ireg = np.zeros(IREG_SIZE, dtype=np.int64)
+        self._freg = np.zeros(FREG_SIZE)
+        self._transfers = np.zeros(len(self._junction_order))
 
     @property
-    def jit_backend(self) -> Optional[str]:
-        """Name of the active compiled backend, or ``None`` when disabled."""
-        return self._jit_backend
-
-    @property
-    def jit_enabled(self) -> bool:
-        """Whether :meth:`run_compiled`/:meth:`run_ensemble_compiled` work."""
-        return self._jit_advance is not None
+    def backend(self) -> str:
+        """Name of the advance-loop backend this kernel runs."""
+        return self._backend
 
     # ---------------------------------------------------------------- caches
 
     def _clear_rate_cache(self) -> None:
-        """Drop all memoised rate entries and invalidate ensemble cursors."""
+        """Drop all memoised rate entries and invalidate cursors."""
         self._rate_cache.clear()
         self._cache_epoch += 1
 
@@ -410,8 +415,6 @@ class MonteCarloKernel:
         self._bias_version = -1
         self._offsets = None
         self._offsets_version = -1
-        self._trap_snapshot = None
-        self._trap_bits = 0
         self._entries_since_resync = 0
         self._clear_rate_cache()
 
@@ -422,58 +425,44 @@ class MonteCarloKernel:
             self._bias_version = version
             self._clear_rate_cache()
 
-    def _refresh_offsets(self, state: SimulationState) -> None:
+    def _refresh_offsets(self) -> None:
         version = self.circuit.charge_version
-        trap_state_changed = (self._n_traps > 0
-                              and state.trap_occupancy != self._trap_snapshot)
-        if self._offsets is None or version != self._offsets_version \
-                or trap_state_changed:
-            if version != self._offsets_version:
-                # Static offsets changed: every memoised table is stale.  A
-                # trap flip alone keeps the cache (configurations are keyed by
-                # trap occupation as well).
-                self._clear_rate_cache()
-            offsets = np.array(self.model.system.cached_offset_charges())
-            if self._n_traps:
-                island_index = self.model.island_index
-                bits = 0
-                for position, trap in enumerate(self.traps):
-                    if state.trap_occupancy.get(trap.name, False):
-                        offsets[island_index(trap.island)] += trap.coupling
-                        bits |= 1 << position
-                self._trap_snapshot = dict(state.trap_occupancy)
-                self._trap_bits = bits
-            self._offsets = offsets
+        if self._offsets is None or version != self._offsets_version:
+            self._clear_rate_cache()
+            self._offsets = np.array(self.model.system.cached_offset_charges())
             self._offsets_version = version
 
+    def _refresh(self) -> None:
+        """O(1) invalidation checks before consulting the memoised tables."""
+        self._refresh_bias()
+        self._refresh_offsets()
+
+    def _trap_bits_of(self, state: SimulationState) -> int:
+        """The trap occupation of ``state`` as bits (trap ``i``: bit ``i``)."""
+        bits = 0
+        for position, trap in enumerate(self.traps):
+            if state.trap_occupancy.get(trap.name, False):
+                bits |= 1 << position
+        return bits
+
+    def _offsets_for(self, bits: int) -> np.ndarray:
+        """Island offset charges with the traps in ``bits`` occupied."""
+        offsets = self._offsets.copy()
+        for position, trap in enumerate(self.traps):
+            if bits >> position & 1:
+                offsets[self.model.island_index(trap.island)] += trap.coupling
+        return offsets
+
     # ------------------------------------------------------- batched randoms
-
-    def _next_exponential(self) -> float:
-        """One standard-exponential variate from the block buffer."""
-        position = self._exp_position
-        if position >= self._exp_buffer.size:
-            self._exp_buffer = self.rng.standard_exponential(self._random_block)
-            position = 0
-        self._exp_position = position + 1
-        return float(self._exp_buffer[position])
-
-    def _next_uniform(self) -> float:
-        """One standard-uniform variate from the block buffer."""
-        position = self._uniform_position
-        if position >= self._uniform_buffer.size:
-            self._uniform_buffer = self.rng.random(self._random_block)
-            position = 0
-        self._uniform_position = position + 1
-        return float(self._uniform_buffer[position])
 
     def _drain_buffer(self, sampler, buffer_name: str, position_name: str,
                       count: int) -> np.ndarray:
         """``count`` variates from a block buffer, refilling with ``sampler``.
 
-        Consumes the same stream as the scalar one-at-a-time accessors in
-        the same order (including the block refill pattern for ``count`` up
-        to the block size), which is what makes a single-replica ensemble
-        replay the scalar fast path exactly.
+        Consumes the same stream as the advance loop in the same order
+        (including the block refill pattern for ``count`` up to the block
+        size), which is what makes a single-replica lockstep ensemble
+        replay a single trajectory exactly.
         """
         out = np.empty(count)
         filled = 0
@@ -506,17 +495,13 @@ class MonteCarloKernel:
     def effective_offsets(self, state: SimulationState) -> np.ndarray:
         """Island offset charges including the contribution of occupied traps.
 
-        The static offset vector and the trap contributions are cached; the
-        vector is rebuilt only when an offset charge or a trap occupation
-        actually changed.
+        The static offset vector is cached and rebuilt only when an offset
+        charge actually changed.
         """
-        self._refresh_bias()
-        self._refresh_offsets(state)
-        assert self._offsets is not None
-        return self._offsets.copy()
+        self._refresh()
+        return self._offsets_for(self._trap_bits_of(state))
 
-    def _rates_from_phi(self, phi: np.ndarray,
-                        state: SimulationState) -> np.ndarray:
+    def _rates_from_phi(self, phi: np.ndarray, bits: int) -> np.ndarray:
         """Fill and return the shared rate buffer (tunnel | cotunnel | trap)."""
         rates = self._rates
         n_tunnel = self._n_tunnel
@@ -532,20 +517,20 @@ class MonteCarloKernel:
                 self._cot_table.resistance_1, self._cot_table.resistance_2,
                 self.temperature)
         if self._n_traps:
-            occupied = np.fromiter(
-                (state.trap_occupancy.get(trap.name, False) for trap in self.traps),
-                dtype=bool, count=self._n_traps)
-            rates[n_tunnel + n_cot:] = np.where(
+            occupied = np.array([bool(bits >> position & 1)
+                                 for position in range(self._n_traps)])
+            rates[self._n_events:] = np.where(
                 occupied, self._trap_emission_rates, self._trap_capture_rates)
         return rates
 
     def _compute_rates(self, state: SimulationState) -> np.ndarray:
         """Full vectorized rate evaluation from an exact potential solve."""
-        self._refresh_bias()
-        self._refresh_offsets(state)
+        self._refresh()
+        bits = self._trap_bits_of(state)
         phi = np.asarray(self.model.island_potentials(
-            state.electrons, self._voltages, self._offsets), dtype=float)
-        return self._rates_from_phi(phi, state)
+            state.electrons, self._voltages, self._offsets_for(bits)),
+            dtype=float)
+        return self._rates_from_phi(phi, bits)
 
     def candidate_rates(self, state: SimulationState
                         ) -> Tuple[List[Candidate], np.ndarray]:
@@ -571,12 +556,25 @@ class MonteCarloKernel:
             kept.append(rates[self._n_events + position])
         return candidates, np.array(kept, dtype=float)
 
+    def _candidate(self, index: int, bits: int) -> Candidate:
+        """The candidate of event column ``index``, given the bits after it.
+
+        A trap column is a capture when it left its trap occupied and an
+        emission otherwise.
+        """
+        if index < self._n_events:
+            return self._event_candidates[index]
+        position = index - self._n_events
+        if bits >> position & 1:
+            return self._trap_capture_candidates[position]
+        return self._trap_emission_candidates[position]
+
     # --------------------------------------------------------- memo entries
 
-    def _entry_key(self, electrons: np.ndarray):
+    def _entry_key(self, electrons: np.ndarray, bits: int):
         key = electrons.tobytes()
         if self._n_traps:
-            return (key, self._trap_bits)
+            return (key, bits)
         return key
 
     def _store_entry(self, key, entry: "_RateEntry") -> None:
@@ -584,9 +582,8 @@ class MonteCarloKernel:
             self._clear_rate_cache()
         self._rate_cache[key] = entry
 
-    def _build_entry(self, key, electrons: np.ndarray,
-                     phi: Optional[np.ndarray],
-                     state: SimulationState) -> "_RateEntry":
+    def _build_entry(self, key, electrons: np.ndarray, bits: int,
+                     phi: Optional[np.ndarray]) -> "_RateEntry":
         """Create (and memoise) the rate table of one configuration.
 
         ``phi = None`` forces an exact potential solve; otherwise the caller
@@ -594,9 +591,10 @@ class MonteCarloKernel:
         """
         if phi is None:
             phi = np.asarray(self.model.island_potentials(
-                electrons, self._voltages, self._offsets), dtype=float)
+                electrons, self._voltages, self._offsets_for(bits)),
+                dtype=float)
             self._entries_since_resync = 0
-        rates = self._rates_from_phi(phi, state)
+        rates = self._rates_from_phi(phi, bits)
         cumulative = np.cumsum(rates)
         total = float(cumulative[-1]) if cumulative.size else 0.0
         # Last positive-rate index: selection clamps to it so a threshold that
@@ -604,23 +602,31 @@ class MonteCarloKernel:
         # (zero-rate) event, matching the reference path's filtered table.
         positive = np.nonzero(rates > 0.0)[0]
         last_selectable = int(positive[-1]) if positive.size else -1
-        entry = _RateEntry(electrons, phi, cumulative, total, last_selectable,
-                           self._n_events)
+        entry = _RateEntry(electrons, bits, phi, cumulative, total,
+                           last_selectable, self._n_columns)
         self._store_entry(key, entry)
         return entry
 
-    def _descend(self, parent: "_RateEntry", index: int,
-                 state: SimulationState) -> "_RateEntry":
+    def _descend(self, parent: "_RateEntry", index: int) -> "_RateEntry":
         """Entry of the configuration reached from ``parent`` via event ``index``.
 
-        This is where the incremental electrostatics happens: the successor's
-        island potentials are the parent's plus the event's precomputed
-        ``delta_phi`` (a column combination of ``C^-1``), skipping the full
-        ``C^-1 (q + B V)`` solve.  Every ``resync_interval`` discoveries the
-        potentials are re-solved exactly to stop rounding drift.
+        This is where the incremental electrostatics happens: after a charge
+        event the successor's island potentials are the parent's plus the
+        event's precomputed ``delta_phi`` (a column combination of
+        ``C^-1``), skipping the full ``C^-1 (q + B V)`` solve.  Every
+        ``resync_interval`` discoveries the potentials are re-solved exactly
+        to stop rounding drift.  A trap flip keeps the electrons and flips
+        one trap bit; its potentials are always solved exactly.
         """
+        if index >= self._n_events:
+            bits = parent.trap_bits ^ (1 << (index - self._n_events))
+            key = self._entry_key(parent.electrons, bits)
+            existing = self._rate_cache.get(key)
+            if existing is not None:
+                return existing
+            return self._build_entry(key, parent.electrons, bits, None)
         electrons = parent.electrons + self._event_delta_n[index]
-        key = self._entry_key(electrons)
+        key = self._entry_key(electrons, parent.trap_bits)
         existing = self._rate_cache.get(key)
         if existing is not None:
             return existing
@@ -629,7 +635,19 @@ class MonteCarloKernel:
         else:
             phi = parent.phi + self._event_delta_phi[index]
             self._entries_since_resync += 1
-        return self._build_entry(key, electrons, phi, state)
+        return self._build_entry(key, electrons, parent.trap_bits, phi)
+
+    def _link(self, cursor: _EnsembleCursor, slot: int, event: int) -> int:
+        """Link one (slot, event) transition in ``cursor``; the child's slot."""
+        parent = cursor.entries[slot]
+        child = parent.successors[event]
+        if child is None:
+            child = self._descend(parent, event)
+            parent.successors[event] = child
+        child_slot = cursor.register(child)
+        cursor.refresh()
+        cursor.successor_slots[slot, event] = child_slot
+        return child_slot
 
     # ------------------------------------------------- scalar reference path
 
@@ -699,7 +717,123 @@ class MonteCarloKernel:
             temperature=self.temperature,
         )
 
-    # ------------------------------------------------------------------ steps
+    # ------------------------------------------------------------ event loop
+
+    def _registers(self, slot: int, time: float, duration: Optional[float],
+                   single_step: bool
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reset ``ireg``/``freg`` and a zero transfer tally for one run."""
+        ireg, freg, transfers = self._ireg, self._freg, self._transfers
+        ireg[:] = 0
+        transfers[:] = 0.0
+        ireg[REG_SLOT] = slot
+        ireg[REG_EXP_POS] = self._exp_position
+        ireg[REG_UNI_POS] = self._uniform_position
+        ireg[REG_PENDING_EVENT] = -1
+        ireg[REG_LAST_EVENT] = -1
+        ireg[REG_TRAP_START] = self._n_events
+        ireg[REG_SINGLE_STEP] = single_step
+        freg[FREG_TIME] = time
+        freg[FREG_PENDING_WAIT] = -1.0
+        freg[FREG_START] = time
+        freg[FREG_DURATION] = np.inf if duration is None else float(duration)
+        freg[FREG_LAST_WAIT] = 0.0
+        return ireg, freg, transfers
+
+    def _call(self, cursor: _EnsembleCursor, transfers: np.ndarray,
+              ireg: np.ndarray, freg: np.ndarray, budget: int) -> int:
+        """One call of the advance loop on the kernel's backend.
+
+        The cursor's dense mirrors are fetched per call because
+        :meth:`_EnsembleCursor.refresh` reallocates them.  A fault of a
+        native call (the ``jit.run_compiled`` site fires before each one)
+        moves the kernel to the interpreted loop for good: the native call
+        committed nothing, so :func:`_advance_py` continues the same
+        trajectory from the same registers and buffers.
+        """
+        arguments = (cursor.totals, cursor.cumulative, cursor.last_selectable,
+                     cursor.successor_slots, self._transfer_matrix, transfers,
+                     self._exp_buffer, self._uniform_buffer, ireg, freg,
+                     budget)
+        if self._advance is not _advance_py:
+            try:
+                inject("jit.run_compiled")
+                return self._advance(*arguments)
+            except Exception as error:
+                emit_degradation("jit.run_compiled", "fallback:python",
+                                 repr(error))
+                self._backend, self._advance = BACKEND_PYTHON, _advance_py
+        return _advance_py(*arguments)
+
+    def _run_loop(self, cursor: _EnsembleCursor, transfers: np.ndarray,
+                  ireg: np.ndarray, freg: np.ndarray, budget: int) -> int:
+        """Re-enter the advance loop until it returns a terminal status.
+
+        Serves the loop's requests in between: a random block refill at the
+        consumption point (one ``_random_block`` draw, read from position
+        zero) or a successor link.  Returns ``STATUS_DONE``,
+        ``STATUS_BLOCKED`` or, in single-step mode, ``STATUS_STEPPED``.
+        """
+        while True:
+            status = self._call(cursor, transfers, ireg, freg, budget)
+            if status == STATUS_NEED_EXP:
+                self._exp_buffer = \
+                    self.rng.standard_exponential(self._random_block)
+                ireg[REG_EXP_POS] = 0
+            elif status == STATUS_NEED_UNIFORM:
+                self._uniform_buffer = self.rng.random(self._random_block)
+                ireg[REG_UNI_POS] = 0
+            elif status == STATUS_NEED_LINK:
+                self._link(cursor, int(ireg[REG_SLOT]),
+                           int(ireg[REG_PENDING_EVENT]))
+            else:
+                self._exp_position = int(ireg[REG_EXP_POS])
+                self._uniform_position = int(ireg[REG_UNI_POS])
+                return status
+
+    def _scalar_cursor_for(self, state: SimulationState
+                           ) -> Tuple[_EnsembleCursor, int]:
+        """Cursor and slot describing a scalar state's configuration.
+
+        Reuses one cursor across calls so the dense mirrors and successor
+        links warm up once; a cache-epoch bump (bias or offset change)
+        rebuilds it from scratch, exactly like the ensemble cursor
+        revalidation.
+        """
+        self._refresh()
+        electrons = np.ascontiguousarray(state.electrons, dtype=np.int64)
+        bits = self._trap_bits_of(state)
+        key = self._entry_key(electrons, bits)
+        entry = self._rate_cache.get(key)
+        if entry is None:
+            entry = self._build_entry(key, electrons.copy(), bits, None)
+        cursor = self._scalar_cursor
+        if not (isinstance(cursor, _EnsembleCursor)
+                and cursor.epoch == self._cache_epoch):
+            cursor = _EnsembleCursor(self._cache_epoch,
+                                     np.empty(0, dtype=np.int64), [entry],
+                                     self._n_columns, self.model.island_count)
+            self._scalar_cursor = cursor
+        slot = cursor.register(entry)
+        cursor.refresh()
+        return cursor, slot
+
+    def _commit(self, state: SimulationState, cursor: _EnsembleCursor,
+                ireg: np.ndarray, freg: np.ndarray,
+                transfers: np.ndarray) -> None:
+        """Write a finished run's registers back into ``state``."""
+        entry = cursor.entries[int(ireg[REG_SLOT])]
+        state.time = float(freg[FREG_TIME])
+        state.electrons = entry.electrons.copy()
+        tallies = state.electron_transfers
+        for name, column in self._junction_order.items():
+            # The per-event transfer values are small integers, so the
+            # aggregated sums are exact and equal one increment per event.
+            tallies[name] += float(transfers[column])
+        state.event_count += int(ireg[REG_EVENTS])
+        for position, trap in enumerate(self.traps):
+            state.trap_occupancy[trap.name] = bool(entry.trap_bits
+                                                   >> position & 1)
 
     def step(self, state: SimulationState,
              max_waiting_time: Optional[float] = None) -> Optional[KernelStep]:
@@ -708,65 +842,66 @@ class MonteCarloKernel:
         Returns ``None`` when no event has a positive rate (a completely
         blockaded circuit at zero temperature) or when the drawn waiting time
         exceeds ``max_waiting_time`` (in which case the state only advances in
-        time and nothing is applied).
+        time and nothing is applied).  On the fast path this is one
+        single-step call of the advance loop, continuing the random stream of
+        earlier steps and runs; a non-positive ``max_waiting_time`` returns
+        ``None`` without drawing.
         """
         if not self.fast_path:
             return self._step_reference(state, max_waiting_time)
-
-        # O(1) invalidation checks before consulting the memoised tables.
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or circuit.charge_version != self._offsets_version \
-                or (self._n_traps and state.trap_occupancy != self._trap_snapshot):
-            self._refresh_offsets(state)
-
-        key = self._entry_key(state.electrons)
-        entry = self._rate_cache.get(key)
-        if entry is None:
-            entry = self._build_entry(key,
-                                      np.array(state.electrons, dtype=np.int64),
-                                      None, state)
-
-        total_rate = entry.total
-        if total_rate <= 0.0:
-            if max_waiting_time is not None:
-                state.time += max_waiting_time
+        cursor, slot = self._scalar_cursor_for(state)
+        total_rate = cursor.entries[slot].total
+        ireg, freg, transfers = self._registers(
+            slot, float(state.time), max_waiting_time, single_step=True)
+        self._run_loop(cursor, transfers, ireg, freg, 1)
+        self._commit(state, cursor, ireg, freg, transfers)
+        if not ireg[REG_EVENTS]:
             return None
-
-        waiting = self._next_exponential() / total_rate
-        if max_waiting_time is not None and waiting > max_waiting_time:
-            state.time += max_waiting_time
-            return None
-
-        cumulative = entry.cumulative
-        index = cumulative.searchsorted(self._next_uniform() * total_rate,
-                                        side="right")
-        if index > entry.last_selectable:
-            index = entry.last_selectable
-        state.time += waiting
-        if index < self._n_events:
-            successor = entry.successors[index]
-            if successor is None:
-                successor = self._descend(entry, index, state)
-                entry.successors[index] = successor
-            state.electrons = successor.electrons.copy()
-            transfers = state.electron_transfers
-            for name, direction in self._event_transfers[index]:
-                transfers[name] += direction
-            chosen = self._event_candidates[index]
-        else:
-            position = index - self._n_events
-            trap = self.traps[position]
-            occupied = state.trap_occupancy.get(trap.name, False)
-            chosen = (self._trap_emission_candidates[position] if occupied
-                      else self._trap_capture_candidates[position])
-            chosen.apply(state, self.model)
-            # The trap snapshot is now stale; the next step re-derives the
-            # offsets and looks the configuration up under the new trap key.
-        state.event_count += 1
-        return KernelStep(waiting_time=waiting, candidate=chosen,
+        bits = cursor.entries[int(ireg[REG_SLOT])].trap_bits
+        return KernelStep(waiting_time=float(freg[FREG_LAST_WAIT]),
+                          candidate=self._candidate(int(ireg[REG_LAST_EVENT]),
+                                                    bits),
                           total_rate=total_rate)
+
+    def run_compiled(self, state: SimulationState,
+                     max_events: Optional[int] = None,
+                     duration: Optional[float] = None,
+                     records: Optional[List[EventRecord]] = None,
+                     occupation: Optional[OccupationStatistics] = None
+                     ) -> Tuple[int, int]:
+        """Advance a scalar state through the advance loop, in place.
+
+        Executes events, charge transfers and trap flips alike, until the
+        budgets (``None``: unbounded) are exhausted or the circuit
+        blockades at T = 0 with no time budget, and writes the time,
+        configuration, transfers, event count and trap occupation back
+        into ``state``.  With ``records`` (one :class:`EventRecord` per
+        event) or ``occupation`` (the dwell time of every step, added to
+        the configuration it started in) the loop runs in single-step mode
+        on the same registers, so the trajectory is the unobserved one.
+        Returns ``(events, trap_flips)`` of this run.
+        """
+        cursor, slot = self._scalar_cursor_for(state)
+        budget = _UNBOUNDED_EVENTS if max_events is None else int(max_events)
+        observed = records is not None or occupation is not None
+        ireg, freg, transfers = self._registers(
+            slot, float(state.time), duration, single_step=observed)
+        time, executed, entries = float(state.time), 0, cursor.entries
+        while self._run_loop(cursor, transfers, ireg, freg,
+                             budget) == STATUS_STEPPED:
+            now = float(freg[FREG_TIME])
+            if occupation is not None:
+                occupation.record(entries[slot].electron_tuple, now - time)
+            slot, time = int(ireg[REG_SLOT]), now
+            if records is not None and ireg[REG_EVENTS] > executed:
+                executed += 1
+                entry = entries[slot]
+                records.append(EventRecord(
+                    time=now, electrons=entry.electron_tuple,
+                    label=self._candidate(int(ireg[REG_LAST_EVENT]),
+                                          entry.trap_bits).label))
+        self._commit(state, cursor, ireg, freg, transfers)
+        return int(ireg[REG_EVENTS]), int(ireg[REG_TRAP_FLIPS])
 
     # ------------------------------------------------------------- ensembles
 
@@ -777,6 +912,15 @@ class MonteCarloKernel:
         configuration is keyed into the memo exactly once no matter how many
         replicas currently occupy it.
         """
+        if not self.fast_path:
+            raise SimulationError(
+                "ensemble stepping requires the vectorized kernel "
+                "(fast_path=True)")
+        if self._n_traps:
+            raise SimulationError(
+                "ensemble stepping does not support charge traps; run "
+                "single trajectories for telegraph-noise simulations")
+        self._refresh()
         cursor = ensemble.cursor
         if isinstance(cursor, _EnsembleCursor) and \
                 cursor.epoch == self._cache_epoch and \
@@ -788,14 +932,14 @@ class MonteCarloKernel:
         entries: List[_RateEntry] = []
         for row in unique:
             row = np.ascontiguousarray(row)
-            key = self._entry_key(row)
+            key = self._entry_key(row, 0)
             entry = self._rate_cache.get(key)
             if entry is None:
-                entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
+                entry = self._build_entry(key, row.copy(), 0, None)
             entries.append(entry)
         cursor = _EnsembleCursor(self._cache_epoch,
                                  inverse.reshape(-1).astype(np.int64), entries,
-                                 self._n_events, self.model.island_count)
+                                 self._n_columns, self.model.island_count)
         ensemble.cursor = cursor
         return cursor
 
@@ -819,28 +963,13 @@ class MonteCarloKernel:
             replica or a ``(R,)`` array of per-replica budgets.  Replicas
             whose drawn waiting time exceeds their budget only advance their
             clock by the budget (no event is applied), exactly like the
-            scalar path.
+            advance loop.
         active:
             Optional ``(R,)`` boolean mask; inactive replicas are left
             untouched (no clock advance, no random draws).
 
         Returns the per-replica :class:`EnsembleStep` outcome.
         """
-        if not self.fast_path:
-            raise SimulationError(
-                "ensemble stepping requires the vectorized kernel "
-                "(fast_path=True)")
-        if self._n_traps:
-            raise SimulationError(
-                "ensemble stepping does not support charge traps; use the "
-                "scalar step() path for telegraph-noise simulations")
-
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(_TRAPLESS)
         cursor = self._ensure_cursor(ensemble)
 
         replicas = ensemble.replica_count
@@ -859,7 +988,7 @@ class MonteCarloKernel:
                 unblocked = np.nonzero(positive)[0]
                 blocked = np.nonzero(~positive)[0]
                 # Blockaded replicas burn their whole time budget, as in the
-                # scalar path (no randoms are consumed for them).
+                # advance loop (no randoms are consumed for them).
                 if budgets is not None:
                     ensemble.times[blocked] += budgets[blocked]
         else:
@@ -910,8 +1039,8 @@ class MonteCarloKernel:
                 # Event selection: one broadcast comparison against the
                 # gathered cumulative rows — ``count(cum <= threshold)`` is
                 # exactly ``searchsorted(cum, threshold, side="right")`` —
-                # clamped to the last positive-rate event as in the scalar
-                # path.
+                # clamped to the last positive-rate event as in the advance
+                # loop.
                 rows = cursor.cumulative[proceed_slots]
                 chosen = np.sum(rows <= thresholds[:, None], axis=1)
                 np.minimum(chosen, cursor.last_selectable[proceed_slots],
@@ -950,207 +1079,46 @@ class MonteCarloKernel:
                          missing: np.ndarray) -> None:
         """Resolve not-yet-linked (configuration, event) transitions.
 
-        Each distinct missing pair is resolved once through the memoised
-        entry graph (:meth:`_descend`), registered as a cursor slot and
-        written into the dense successor matrix; ``successor`` is patched in
-        place.  After the first few macro-steps of a stationary run every
-        transition is linked and this slow path is never entered.
+        Each distinct missing pair is linked once (:meth:`_link`) and
+        ``successor`` is patched in place.  After the first few macro-steps
+        of a stationary run every transition is linked and this slow path
+        is never entered.
         """
-        pairs = slots[missing] * self._n_events + chosen[missing]
+        width = cursor.n_columns
+        pairs = slots[missing] * width + chosen[missing]
         unique_pairs, inverse = np.unique(pairs, return_inverse=True)
-        resolved = np.empty(unique_pairs.size, dtype=np.int64)
-        for position, pair in enumerate(unique_pairs):
-            slot, event = divmod(int(pair), self._n_events)
-            parent = cursor.entries[slot]
-            child = parent.successors[event]
-            if child is None:
-                child = self._descend(parent, event, _TRAPLESS)
-                parent.successors[event] = child
-            resolved[position] = cursor.register(child)
-        cursor.refresh()
-        for position, pair in enumerate(unique_pairs):
-            slot, event = divmod(int(pair), self._n_events)
-            cursor.successor_slots[slot, event] = resolved[position]
+        resolved = np.array([self._link(cursor, *divmod(int(pair), width))
+                             for pair in unique_pairs], dtype=np.int64)
         successor[missing] = resolved[inverse.reshape(-1)]
-
-    # ------------------------------------------------------- compiled runs
-
-    def disable_jit(self) -> None:
-        """Drop this kernel to the interpreted step path permanently.
-
-        Called by the simulator's fault recovery when a compiled run raises:
-        the kernel state is untouched by a failed compiled call, so the
-        interpreted path continues the same trajectory, and disabling the
-        advance loop keeps one bad kernel from failing on every later call.
-        """
-        self._jit_advance = None
-
-    def _require_compiled(self) -> None:
-        """Common guards of the compiled entry points."""
-        from ..resilience.faults import inject
-
-        inject("jit.run_compiled")
-        if self._jit_advance is None:
-            raise SimulationError(
-                "compiled stepping is disabled; construct the kernel with "
-                "jit=True (or a backend name)")
-        if self._n_traps:
-            raise SimulationError(
-                "compiled stepping does not support charge traps; use the "
-                "scalar step() path for telegraph-noise simulations")
-
-    def _scalar_cursor_for(self, electrons: np.ndarray
-                           ) -> Tuple[_EnsembleCursor, int]:
-        """Cursor and slot describing a scalar state's configuration.
-
-        Reuses one cursor across :meth:`run_compiled` calls so the dense
-        mirrors and successor links warm up once; a cache-epoch bump (bias
-        or offset change) rebuilds it from scratch, exactly like the
-        ensemble cursor revalidation.
-        """
-        electrons = np.ascontiguousarray(electrons, dtype=np.int64)
-        key = self._entry_key(electrons)
-        entry = self._rate_cache.get(key)
-        if entry is None:
-            entry = self._build_entry(key, electrons.copy(), None, _TRAPLESS)
-        cursor = self._scalar_cursor
-        if not (isinstance(cursor, _EnsembleCursor)
-                and cursor.epoch == self._cache_epoch):
-            cursor = _EnsembleCursor(self._cache_epoch,
-                                     np.empty(0, dtype=np.int64), [entry],
-                                     self._n_events, self.model.island_count)
-            self._scalar_cursor = cursor
-        slot = cursor.register(entry)
-        cursor.refresh()
-        return cursor, slot
-
-    def _link_compiled(self, cursor: _EnsembleCursor, slot: int,
-                       event: int) -> None:
-        """Resolve one unlinked (configuration, event) transition in place."""
-        parent = cursor.entries[slot]
-        child = parent.successors[event]
-        if child is None:
-            child = self._descend(parent, event, _TRAPLESS)
-            parent.successors[event] = child
-        child_slot = cursor.register(child)
-        cursor.refresh()
-        cursor.successor_slots[slot, event] = child_slot
-
-    def _drive_compiled(self, cursor: _EnsembleCursor, slot: int, time: float,
-                        transfers: np.ndarray, max_events: Optional[int],
-                        duration: Optional[float]) -> Tuple[int, float, int]:
-        """Run the compiled advance loop to completion for one trajectory.
-
-        The native loop returns whenever it needs Python — a random block
-        refill or a successor link — and is re-entered with the updated
-        buffers/cursor arrays (the cursor's dense mirrors are re-fetched
-        per call because :meth:`_EnsembleCursor.refresh` reallocates them).
-        Buffer refills replicate the scalar accessors exactly: refill with
-        one ``_random_block`` draw at the consumption point, restart at
-        position zero.  Returns ``(slot, time, executed_events)``.
-        """
-        advance = self._jit_advance
-        budget = (1 << 62) if max_events is None else int(max_events)
-        ireg = np.zeros(IREG_SIZE, dtype=np.int64)
-        ireg[REG_SLOT] = slot
-        ireg[REG_EXP_POS] = self._exp_position
-        ireg[REG_UNI_POS] = self._uniform_position
-        ireg[REG_PENDING_EVENT] = -1
-        freg = np.zeros(FREG_SIZE)
-        freg[FREG_TIME] = time
-        freg[FREG_PENDING_WAIT] = -1.0
-        freg[FREG_START] = time
-        freg[FREG_DURATION] = np.inf if duration is None else float(duration)
-        while True:
-            status = advance(cursor.totals, cursor.cumulative,
-                             cursor.last_selectable, cursor.successor_slots,
-                             self._transfer_matrix, transfers,
-                             self._exp_buffer, self._uniform_buffer,
-                             ireg, freg, budget)
-            if status == STATUS_NEED_EXP:
-                self._exp_buffer = \
-                    self.rng.standard_exponential(self._random_block)
-                ireg[REG_EXP_POS] = 0
-            elif status == STATUS_NEED_UNIFORM:
-                self._uniform_buffer = self.rng.random(self._random_block)
-                ireg[REG_UNI_POS] = 0
-            elif status == STATUS_NEED_LINK:
-                self._link_compiled(cursor, int(ireg[REG_SLOT]),
-                                    int(ireg[REG_PENDING_EVENT]))
-            else:
-                break
-        self._exp_position = int(ireg[REG_EXP_POS])
-        self._uniform_position = int(ireg[REG_UNI_POS])
-        return (int(ireg[REG_SLOT]), float(freg[FREG_TIME]),
-                int(ireg[REG_EVENTS]))
-
-    def run_compiled(self, state: SimulationState,
-                     max_events: Optional[int] = None,
-                     duration: Optional[float] = None) -> int:
-        """Advance a scalar state through the compiled loop, in place.
-
-        Executes events until the budgets are exhausted, replaying the
-        scalar :meth:`step` trajectory bit for bit (same random stream,
-        same waiting times, same selections, same censoring and blockade
-        semantics).  Returns the number of executed events; ``state`` is
-        updated exactly as a sequence of :meth:`step` calls would have
-        left it.
-        """
-        self._require_compiled()
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(state)
-        cursor, slot = self._scalar_cursor_for(state.electrons)
-        transfers = np.zeros(len(self._junction_order))
-        slot, time, events = self._drive_compiled(cursor, slot,
-                                                  float(state.time), transfers,
-                                                  max_events, duration)
-        state.time = time
-        state.electrons = cursor.configurations[slot].copy()
-        tallies = state.electron_transfers
-        for name, column in self._junction_order.items():
-            # The per-event transfer values are small integers, so the
-            # aggregated float sums are exact and match the scalar path's
-            # one-increment-per-event accumulation bitwise.
-            tallies[name] += transfers[column]
-        state.event_count += events
-        return events
 
     def run_ensemble_compiled(self, ensemble: EnsembleState,
                               max_events: Optional[int] = None,
                               duration: Optional[float] = None) -> int:
-        """Advance every replica through the compiled loop, in place.
+        """Advance every replica through the advance loop, in place.
 
         Replicas run sequentially (sharing the memoised rate tables and
         the block random buffers), each to its own per-replica budget; a
         single-replica ensemble therefore consumes the random stream in
-        exactly the scalar order and replays :meth:`run_compiled` — and by
-        extension the scalar :meth:`step` path — event for event.  Returns
-        the total number of executed events.
+        exactly the single-trajectory order and replays
+        :meth:`run_compiled` event for event.  Returns the total number of
+        executed events.
         """
-        self._require_compiled()
-        if self._voltages is None or \
-                self.circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                self.circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(_TRAPLESS)
         cursor = self._ensure_cursor(ensemble)
         transfers = ensemble.electron_transfers
         if not transfers.flags.c_contiguous or transfers.dtype != np.float64:
             transfers = np.ascontiguousarray(transfers, dtype=float)
             ensemble.electron_transfers = transfers
+        budget = _UNBOUNDED_EVENTS if max_events is None else int(max_events)
         executed = 0
         for replica in range(ensemble.replica_count):
-            slot, time, events = self._drive_compiled(
-                cursor, int(cursor.slots[replica]),
-                float(ensemble.times[replica]), transfers[replica],
-                max_events, duration)
+            ireg, freg, _ = self._registers(int(cursor.slots[replica]),
+                                            float(ensemble.times[replica]),
+                                            duration, single_step=False)
+            self._run_loop(cursor, transfers[replica], ireg, freg, budget)
+            slot = int(ireg[REG_SLOT])
+            events = int(ireg[REG_EVENTS])
             cursor.slots[replica] = slot
-            ensemble.times[replica] = time
+            ensemble.times[replica] = freg[FREG_TIME]
             ensemble.event_counts[replica] += events
             ensemble.electrons[replica] = cursor.configurations[slot]
             executed += events

@@ -5,7 +5,10 @@ stationary currents for arbitrary single-electron circuits, with optional
 co-tunnelling channels and background-charge traps.  It is the "detailed
 Monte-Carlo simulator that captures all the necessary physics but is limited
 in terms of circuit size" from the paper's §4; the complementary fast/compact
-path is :mod:`repro.compact`.
+path is :mod:`repro.compact`.  Every trajectory, traps, per-event records and
+occupation statistics included, runs in the kernel's advance loop
+(:mod:`repro.montecarlo.jit`); ``fast_path=False`` runs the scalar
+reference kernel instead.
 
 Voltage sweeps are batched: :meth:`MonteCarloSimulator.sweep_source` carries a
 *warm* simulation state from one bias point to the next (the kernel's cached
@@ -72,16 +75,18 @@ class MonteCarloSimulator:
         Set to ``False`` to skip circuit validation (used by tests that
         deliberately build pathological circuits).
     fast_path:
-        Use the vectorized kernel implementation (default).  ``False`` runs
-        the scalar reference kernel — slower, kept for cross-checking.
+        Run events through the kernel's advance loop (default; see
+        :mod:`repro.montecarlo.jit`).  ``False`` runs the scalar reference
+        kernel — slower, kept for cross-checking.
     resync_interval:
         Events between full island-potential re-solves on the fast path.
-    jit:
-        Route trap-free, record-free runs through the kernel's compiled
-        advance loop (:mod:`repro.montecarlo.jit`).  ``True`` picks the
-        best available backend; a string pins one by name.  The compiled
-        paths replay the numpy fast path event for event, so results are
-        bit-identical at any given seed.
+    sequential_replicas:
+        How :meth:`run_ensemble` advances replicas: ``False`` (default)
+        steps all of them in lockstep with batched numpy operations,
+        ``True`` runs each replica's whole budget through the advance loop
+        in turn.  The two consume the random stream in different orders,
+        so for ``R >= 2`` they agree statistically, not bit for bit; at
+        ``R = 1`` both replay :meth:`run`.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
@@ -90,19 +95,18 @@ class MonteCarloSimulator:
                  validate: bool = True,
                  fast_path: bool = True,
                  resync_interval: int = 1024,
-                 jit: "bool | str" = False) -> None:
+                 sequential_replicas: bool = False) -> None:
         if validate:
             validate_circuit(circuit).raise_if_invalid()
         self.circuit = circuit
         self.temperature = float(temperature)
         self.seed = seed
-        self.jit = jit
+        self.sequential_replicas = bool(sequential_replicas)
         self.rng = np.random.default_rng(seed)
         self.kernel = MonteCarloKernel(circuit, temperature, self.rng,
                                        include_cotunneling=include_cotunneling,
                                        fast_path=fast_path,
-                                       resync_interval=resync_interval,
-                                       jit=jit)
+                                       resync_interval=resync_interval)
 
     # ------------------------------------------------------------------- runs
 
@@ -147,36 +151,30 @@ class MonteCarloSimulator:
             raise SimulationError("specify max_events and/or duration")
         if state is None:
             state = self.new_state()
+        if not self.kernel.fast_path:
+            return self._run_reference(max_events, duration, state,
+                                       record_events, occupation)
+        start_time = state.time
+        records: List[EventRecord] = []
+        events, trap_flips = self.kernel.run_compiled(
+            state, max_events=max_events, duration=duration,
+            records=records if record_events else None,
+            occupation=occupation)
+        return TrajectoryResult(
+            duration=state.time - start_time,
+            event_count=events,
+            electron_transfers=dict(state.electron_transfers),
+            final_electrons=state.electron_tuple(),
+            records=records,
+            trap_flips=trap_flips,
+        )
 
-        if (self.kernel.jit_enabled and not record_events
-                and occupation is None and not self.kernel.traps):
-            # Compiled fast path: same trajectory, same random stream, no
-            # per-event Python.  Falls back to the loop below whenever a
-            # consumer needs per-event hooks — or, below, when the compiled
-            # kernel itself faults (the state is only committed at the end
-            # of a compiled run, so the interpreted loop continues the same
-            # trajectory from the untouched state).
-            start_time = state.time
-            start_events = state.event_count
-            try:
-                self.kernel.run_compiled(state, max_events=max_events,
-                                         duration=duration)
-            except Exception as error:
-                from ..resilience.events import emit_degradation
-
-                self.kernel.disable_jit()
-                emit_degradation("jit.run_compiled", "fallback:numpy",
-                                 repr(error))
-            else:
-                return TrajectoryResult(
-                    duration=state.time - start_time,
-                    event_count=state.event_count - start_events,
-                    electron_transfers=dict(state.electron_transfers),
-                    final_electrons=state.electron_tuple(),
-                    records=[],
-                    trap_flips=0,
-                )
-
+    def _run_reference(self, max_events: Optional[int],
+                       duration: Optional[float], state: SimulationState,
+                       record_events: bool,
+                       occupation: Optional[OccupationStatistics]
+                       ) -> TrajectoryResult:
+        """:meth:`run` on the scalar reference kernel, one step per call."""
         start_time = state.time
         start_events = state.event_count
         records: List[EventRecord] = []
@@ -194,8 +192,6 @@ class MonteCarloSimulator:
             if duration is not None:
                 remaining = duration - (state.time - start_time)
             if track_occupation:
-                # Snapshot only when a consumer exists: building a tuple per
-                # step would otherwise dominate the fast kernel.
                 previous_electrons = state.electron_tuple()
                 previous_time = state.time
             step = kernel_step(state, max_waiting_time=remaining)
@@ -283,47 +279,36 @@ class MonteCarloSimulator:
         start_times = ensemble.times.copy()
         start_counts = ensemble.event_counts.copy()
         start_transfers = ensemble.electron_transfers.copy()
-        if self.kernel.jit_enabled and not self.kernel.traps:
-            # Compiled path: each replica runs its whole budget through the
-            # native loop (shared rate memo, sequential replicas).  An
-            # R = 1 ensemble replays the scalar compiled run bit for bit.
-            # On a compiled-kernel fault the interpreted loop below picks up
-            # where the native one stopped: budgets are measured against the
-            # start_* snapshots, so partially advanced replicas finish their
-            # remaining budget instead of re-running it.
-            try:
-                self.kernel.run_ensemble_compiled(ensemble,
-                                                  max_events=max_events,
-                                                  duration=duration)
-            except Exception as error:
-                from ..resilience.events import emit_degradation
+        if self.sequential_replicas:
+            self.kernel.run_ensemble_compiled(ensemble, max_events=max_events,
+                                              duration=duration)
+        else:
+            self._run_lockstep(ensemble, max_events, duration, start_times,
+                               start_counts)
+        return EnsembleResult(
+            durations=ensemble.times - start_times,
+            event_counts=ensemble.event_counts - start_counts,
+            electron_transfers=ensemble.electron_transfers - start_transfers,
+            junction_names=ensemble.junction_names,
+            final_electrons=ensemble.electrons.copy(),
+        )
 
-                self.kernel.disable_jit()
-                emit_degradation("jit.run_compiled", "fallback:numpy",
-                                 repr(error))
-            else:
-                return EnsembleResult(
-                    durations=ensemble.times - start_times,
-                    event_counts=ensemble.event_counts - start_counts,
-                    electron_transfers=(ensemble.electron_transfers
-                                        - start_transfers),
-                    junction_names=ensemble.junction_names,
-                    final_electrons=ensemble.electrons.copy(),
-                )
+    def _run_lockstep(self, ensemble: EnsembleState,
+                      max_events: Optional[int], duration: Optional[float],
+                      start_times: np.ndarray,
+                      start_counts: np.ndarray) -> None:
+        """:meth:`run_ensemble` with every replica stepped in lockstep."""
         count = ensemble.replica_count
         finished = np.zeros(count, dtype=bool)
         step_ensemble = self.kernel.step_ensemble
         stall_strikes = 0
 
-        if duration is None \
-                and bool((ensemble.event_counts == start_counts).all()):
+        if duration is None:
             # Lockstep fast path: with an event-only budget every unblocked
             # replica executes exactly one event per macro-step, so no
             # per-step budget bookkeeping (and no active mask) is needed
             # until a replica blockades — then fall through to the general
-            # loop for the stragglers.  Skipped when a faulted compiled run
-            # already advanced some replicas: the general loop below meters
-            # the remaining per-replica budgets correctly.
+            # loop for the stragglers.
             executed = 0
             while executed < max_events:
                 step = step_ensemble(ensemble)
@@ -353,14 +338,6 @@ class MonteCarloSimulator:
                     break
             else:
                 stall_strikes = 0
-
-        return EnsembleResult(
-            durations=ensemble.times - start_times,
-            event_counts=ensemble.event_counts - start_counts,
-            electron_transfers=ensemble.electron_transfers - start_transfers,
-            junction_names=ensemble.junction_names,
-            final_electrons=ensemble.electrons.copy(),
-        )
 
     # -------------------------------------------------------------- stationary
 
@@ -605,7 +582,8 @@ class MonteCarloSimulator:
         payloads = [
             (self.circuit.copy(), self.temperature,
              self.kernel.include_cotunneling, self.kernel.fast_path,
-             self.kernel.resync_interval, self.jit, source, chunk,
+             self.kernel.resync_interval, self.sequential_replicas, source,
+             chunk,
              junction_name, max_events, warmup_events, warm_start, seed,
              ensemble)
             for chunk, seed in zip(chunks, seeds)
@@ -632,12 +610,13 @@ class MonteCarloSimulator:
 def _sweep_chunk(payload) -> List[Tuple[float, float]]:
     """Worker body of :meth:`MonteCarloSimulator._sweep_parallel` (picklable)."""
     (circuit, temperature, include_cotunneling, fast_path, resync_interval,
-     jit, source, values, junction_name, max_events, warmup_events,
-     warm_start, seed, ensemble) = payload
+     sequential_replicas, source, values, junction_name, max_events,
+     warmup_events, warm_start, seed, ensemble) = payload
     simulator = MonteCarloSimulator(circuit, temperature, seed=seed,
                                     include_cotunneling=include_cotunneling,
                                     validate=False, fast_path=fast_path,
-                                    resync_interval=resync_interval, jit=jit)
+                                    resync_interval=resync_interval,
+                                    sequential_replicas=sequential_replicas)
     out: List[Tuple[float, float]] = []
     _, currents, errors = simulator.sweep_source(
         source, values, junction_name, max_events=max_events,

@@ -113,3 +113,24 @@ def python_backend(monkeypatch):
     yield
     monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
     clear_backend_cache()
+
+
+@pytest.fixture
+def on_interpreted_loop(monkeypatch):
+    """Call a factory with the interpreted JIT backend pinned, then unpin.
+
+    Kernels resolve their backend when they are built, so whatever the
+    factory builds keeps running the interpreted loop afterwards: the
+    oracle the native loop is compared with in the same test.
+    """
+    from repro.montecarlo.jit import BACKEND_PYTHON, clear_backend_cache
+
+    def build(factory, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
+            clear_backend_cache()
+            try:
+                return factory(*args, **kwargs)
+            finally:
+                clear_backend_cache()
+    return build

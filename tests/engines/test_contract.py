@@ -233,27 +233,23 @@ class TestCrossEngineAgreement:
             assert abs(observed.current - exact) < margin
 
     def test_seeded_stochastic_engines_report_bit_identical_currents(
-            self, device):
-        # Same (device, seed): the scalar engine (on whichever event loop
-        # it bound), its numpy oracle, and both ensemble engines at R = 1
-        # all consume the random stream in the same order and share the
+            self, device, on_interpreted_loop):
+        # Same (device, seed): the scalar engine, the same engine bound on
+        # the interpreted loop, and both ensemble engines at R = 1 all
+        # consume the random stream in the same order and share the
         # ratio-of-sums current estimator, so the reported means are
         # bit-identical — not merely statistically close.  (max_events must
         # divide evenly into the estimator's 10 blocks so scalar block
         # edges land on the same event boundaries.)
-        from repro.engines.adapters import MonteCarloSession
-
         bias = BiasPoint(0.5 * device.gate_period, DRAIN_VOLTAGE)
         currents = {}
         for name, replicas in (("montecarlo", 0), ("ensemble", 1),
                                ("ensemble-jit", 1)):
             session = bind(name, device, max_events=400, replicas=replicas)
             currents[name] = session.solve(bias).current
-        oracle = MonteCarloSession(device, TEMPERATURE,
-                                   seed=BIND_KWARGS["seed"], max_events=400,
-                                   warmup_events=BIND_KWARGS["warmup_events"],
-                                   jit=False)
-        currents["numpy oracle"] = oracle.solve(bias).current
+        oracle = on_interpreted_loop(bind, "montecarlo", device,
+                                     max_events=400)
+        currents["interpreted loop"] = oracle.solve(bias).current
         assert len(set(currents.values())) == 1, currents
 
 

@@ -1,12 +1,12 @@
-"""Tests for the compiled Monte-Carlo advance kernel (:mod:`repro.montecarlo.jit`).
+"""Tests for the Monte-Carlo advance loop (:mod:`repro.montecarlo.jit`).
 
 The compiled loop is only trustworthy if it is *provably* the same
-simulation: a seeded compiled run must replay the numpy scalar path event
+simulation: a seeded native run must replay the interpreted loop event
 for event (same waiting times, same executed events, same transfers), not
-merely agree statistically.  These tests pin that equivalence on the
-active backend and on the always-available interpreted fallback, plus the
-cache-epoch machinery that keeps compiled runs honest when the bias or
-offset charge changes mid-session.
+merely agree statistically, and a run must equal the same number of
+single ``kernel.step()`` calls.  These tests pin that equivalence, plus the
+cache-epoch machinery that keeps runs honest when the bias or offset
+charge changes mid-session.  ``test_seeded_pins.py`` pins exact values.
 """
 
 import os
@@ -18,7 +18,7 @@ from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import ISLAND
 from repro.errors import SimulationError
-from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo import MonteCarloSimulator, OccupationStatistics
 from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_NUMBA,
@@ -41,6 +41,16 @@ def make_simulator(seed=11, drain_voltage=DRAIN_VOLTAGE, **kwargs):
                                        gate_voltage=GATE_VOLTAGE)
     return MonteCarloSimulator(circuit, temperature=TEMPERATURE, seed=seed,
                                **kwargs)
+
+
+@pytest.fixture
+def interpreted(on_interpreted_loop):
+    """Build simulators whose kernel runs the interpreted loop."""
+    def build(**kwargs):
+        simulator = on_interpreted_loop(make_simulator, **kwargs)
+        assert simulator.kernel.backend == BACKEND_PYTHON
+        return simulator
+    return build
 
 
 def assert_identical_trajectories(compiled, scalar):
@@ -79,56 +89,75 @@ class TestBackendResolution:
     def test_environment_pin_wins(self, python_backend):
         assert jit_backend() == BACKEND_PYTHON
         assert not jit_compiled()
+        assert make_simulator().kernel.backend == BACKEND_PYTHON
 
-    def test_jit_requires_the_fast_path(self):
-        with pytest.raises(SimulationError, match="fast_path"):
-            make_simulator(jit=True, fast_path=False)
+    def test_kernels_run_the_resolved_backend(self):
+        assert make_simulator().kernel.backend == jit_backend()
+        assert make_simulator(fast_path=False).kernel.backend \
+            == jit_backend()
 
 
 class TestEventForEventReplay:
-    def test_compiled_run_replays_the_scalar_path(self):
-        compiled = make_simulator(seed=42, jit=True).run(max_events=5_000)
-        scalar = make_simulator(seed=42).run(max_events=5_000)
+    def test_compiled_run_replays_the_scalar_path(self, interpreted):
+        compiled = make_simulator(seed=42).run(max_events=5_000)
+        scalar = interpreted(seed=42).run(max_events=5_000)
         assert_identical_trajectories(compiled, scalar)
 
-    def test_duration_budget_and_censoring_replay(self):
+    def test_duration_budget_and_censoring_replay(self, interpreted):
         # A wall-clock budget exercises the censoring branch (waiting times
         # beyond the remaining window advance time without an event); the
-        # compiled loop must censor at exactly the same events.
+        # native loop must censor at exactly the same events.
         probe = make_simulator(seed=7).run(max_events=2_000)
         window = 0.5 * probe.duration
-        compiled = make_simulator(seed=7, jit=True).run(duration=window)
-        scalar = make_simulator(seed=7).run(duration=window)
+        compiled = make_simulator(seed=7).run(duration=window)
+        scalar = interpreted(seed=7).run(duration=window)
         assert_identical_trajectories(compiled, scalar)
 
     def test_interpreted_fallback_replays_too(self, python_backend):
-        compiled = make_simulator(seed=13, jit=True).run(max_events=1_500)
-        scalar = make_simulator(seed=13).run(max_events=1_500)
-        assert_identical_trajectories(compiled, scalar)
+        # A run and the same number of one-step calls walk one trajectory.
+        compiled = make_simulator(seed=13).run(max_events=1_500)
+        stepped = make_simulator(seed=13)
+        state = stepped.new_state()
+        for _ in range(1_500):
+            assert stepped.kernel.step(state) is not None
+        assert compiled.duration == state.time
+        assert compiled.final_electrons == state.electron_tuple()
+        assert compiled.electron_transfers == state.electron_transfers
 
-    def test_stationary_current_is_bit_identical(self):
-        compiled = make_simulator(seed=3, jit=True).stationary_current(
+    def test_stationary_current_is_bit_identical(self, interpreted):
+        compiled = make_simulator(seed=3).stationary_current(
             "J_drain", max_events=4_000, warmup_events=400)
-        scalar = make_simulator(seed=3).stationary_current(
+        scalar = interpreted(seed=3).stationary_current(
             "J_drain", max_events=4_000, warmup_events=400)
         assert compiled.mean == scalar.mean
         assert compiled.stderr == scalar.stderr
         assert compiled.events == scalar.events
 
-    def test_record_events_falls_back_to_the_scalar_path(self):
-        # Event recording needs per-event control flow, so the compiled
-        # route steps aside — same seed, same trajectory, records intact.
-        recorded = make_simulator(seed=5, jit=True).run(max_events=300,
-                                                        record_events=True)
-        scalar = make_simulator(seed=5).run(max_events=300,
-                                            record_events=True)
-        assert len(recorded.records) == len(scalar.records) > 0
-        assert_identical_trajectories(recorded, scalar)
+    @pytest.mark.parametrize("budget", [dict(max_events=300),
+                                        dict(duration=2e-9)],
+                             ids=["events", "duration"])
+    def test_record_events_run_on_the_loop(self, interpreted, budget):
+        # Records and occupation statistics observe the loop one step per
+        # re-entry: the trajectory is the unobserved one, and both
+        # backends record the same events.
+        plain = make_simulator(seed=5).run(**budget)
+        occupation = OccupationStatistics()
+        recorded = make_simulator(seed=5).run(record_events=True,
+                                              occupation=occupation,
+                                              **budget)
+        reference = interpreted(seed=5).run(record_events=True, **budget)
+        assert_identical_trajectories(recorded, plain)
+        assert_identical_trajectories(recorded, reference)
+        assert len(recorded.records) == recorded.event_count > 0
+        assert recorded.records == reference.records
+        assert recorded.records[-1].electrons == recorded.final_electrons
+        assert sum(occupation.dwell_times.values()) == \
+            pytest.approx(recorded.duration, rel=1e-12)
 
 
 class TestEnsembleJit:
     def test_r1_ensemble_replays_the_scalar_trajectory(self):
-        batched = make_simulator(seed=21, jit=True).run_ensemble(
+        batched = make_simulator(seed=21, sequential_replicas=True).run_ensemble(
             replicas=1, max_events=2_000)
         scalar = make_simulator(seed=21).run(max_events=2_000)
         assert int(batched.event_counts[0]) == scalar.event_count
@@ -142,7 +171,8 @@ class TestEnsembleJit:
         # R > 1 consumes the random stream in a different order than the
         # lockstep numpy ensemble, so the proof is statistical: combined
         # 3-sigma agreement with the scalar block-averaged estimate.
-        batched = make_simulator(seed=23, jit=True).stationary_current(
+        batched = make_simulator(seed=23,
+                                 sequential_replicas=True).stationary_current(
             "J_drain", max_events=4_000, warmup_events=400, replicas=8)
         scalar = make_simulator(seed=29).stationary_current(
             "J_drain", max_events=24_000, warmup_events=800)
@@ -150,7 +180,7 @@ class TestEnsembleJit:
         assert abs(batched.mean - scalar.mean) <= 3.0 * sigma
 
     def test_replica_event_budgets_are_per_replica(self):
-        result = make_simulator(seed=31, jit=True).run_ensemble(
+        result = make_simulator(seed=31, sequential_replicas=True).run_ensemble(
             replicas=4, max_events=500)
         assert result.event_counts.shape == (4,)
         assert np.all(result.event_counts == 500)
@@ -159,9 +189,9 @@ class TestEnsembleJit:
 class TestCacheEpochInvalidation:
     def test_bias_change_is_picked_up_mid_session(self):
         # Warm rate tables at one drain bias, then move the bias: the
-        # compiled path must rebuild its tables (fresh cache epoch) and
-        # agree with an independent run at the new bias.
-        simulator = make_simulator(seed=17, jit=True)
+        # loop must rebuild its tables (fresh cache epoch) and agree with
+        # an independent run at the new bias.
+        simulator = make_simulator(seed=17)
         before = simulator.stationary_current("J_drain", max_events=4_000,
                                               warmup_events=400)
         simulator.circuit.set_source_voltage("VD", 0.15)
@@ -178,9 +208,9 @@ class TestCacheEpochInvalidation:
 
     def test_offset_charge_change_is_picked_up_mid_session(self):
         # Half an electron of island offset moves the conduction peak into
-        # blockade; a compiled session that kept stale tables would keep
-        # conducting at the old level.
-        simulator = make_simulator(seed=37, jit=True)
+        # blockade; a session that kept stale tables would keep conducting
+        # at the old level.
+        simulator = make_simulator(seed=37)
         on_peak = simulator.stationary_current("J_drain", max_events=4_000,
                                                warmup_events=400)
         simulator.circuit.set_offset_charge(ISLAND, 0.5 * E_CHARGE)
@@ -195,11 +225,10 @@ class TestCacheEpochInvalidation:
     def test_stale_bias_tables_would_visibly_corrupt_the_current(self,
                                                                  monkeypatch):
         # Regression guard on the invalidation machinery itself: disable
-        # the bias refresh and show the compiled current stays pinned to
-        # the old operating point — a visible, physical error.  If this
-        # test ever starts failing, the epoch checks above have gone
-        # vacuous.
-        simulator = make_simulator(seed=17, jit=True)
+        # the bias refresh and show the current stays pinned to the old
+        # operating point — a visible, physical error.  If this test ever
+        # starts failing, the epoch checks above have gone vacuous.
+        simulator = make_simulator(seed=17)
         stale = simulator.stationary_current("J_drain", max_events=4_000,
                                              warmup_events=400)
         monkeypatch.setattr(simulator.kernel, "_refresh_bias",
@@ -220,7 +249,7 @@ class TestCacheEpochInvalidation:
 class TestSimulatorRouting:
     def test_jit_simulator_routes_runs_through_the_compiled_loop(
             self, monkeypatch):
-        simulator = make_simulator(seed=2, jit=True)
+        simulator = make_simulator(seed=2)
         calls = []
         original = simulator.kernel.run_compiled
         monkeypatch.setattr(
@@ -229,14 +258,3 @@ class TestSimulatorRouting:
             original(*args, **kwargs))
         simulator.run(max_events=200)
         assert calls
-
-    def test_plain_simulator_never_touches_the_compiled_loop(
-            self, monkeypatch):
-        simulator = make_simulator(seed=2)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("compiled path reached without jit=True")
-
-        monkeypatch.setattr(simulator.kernel, "run_compiled", forbidden)
-        result = simulator.run(max_events=200)
-        assert result.event_count == 200

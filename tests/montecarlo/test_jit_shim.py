@@ -2,19 +2,22 @@
 
 The C backend receives its arrays as raw addresses, which carry no dtype
 or shape.  These tests feed the ``cc`` shim and :func:`_advance_py` the
-same small hand-built rate table and buffers, drive both through every
-re-entry (``NEED_EXP``, ``NEED_UNIFORM``, ``NEED_LINK``) to completion,
-and require byte-identical status, registers and transfer tallies after
-every call.  They also pin the other half of the contract: the kernel
-hands the shim C-contiguous float64/int64 arrays only.
+same small hand-built rate table (with a trap-flip column) and buffers,
+drive both through every re-entry (``NEED_EXP``, ``NEED_UNIFORM``,
+``NEED_LINK``, and ``STEPPED`` in single-step mode) to completion, and
+require byte-identical status, registers and transfer tallies after every
+call.  The same comparison runs inside real kernels, on a trap circuit and
+on a recorded run.  They also pin the other half of the contract: the
+kernel hands the shim C-contiguous float64/int64 arrays only.
 """
 
 import numpy as np
 import pytest
 
+from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.errors import SimulationError
-from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo import MonteCarloSimulator, OccupationStatistics
 from repro.montecarlo.jit import (
     BACKEND_CC,
     FREG_DURATION,
@@ -23,29 +26,40 @@ from repro.montecarlo.jit import (
     FREG_START,
     IREG_SIZE,
     REG_EXP_POS,
+    REG_LAST_EVENT,
     REG_PENDING_EVENT,
+    REG_SINGLE_STEP,
     REG_SLOT,
+    REG_TRAP_FLIPS,
+    REG_TRAP_START,
     REG_UNI_POS,
     STATUS_BLOCKED,
     STATUS_DONE,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_UNIFORM,
+    STATUS_STEPPED,
     _advance_py,
     resolve_advance,
 )
 
-#: Per-configuration event rates (rows: configuration slots, columns:
-#: events).  Zero entries exercise the clamp to the last positive-rate
-#: event; slot 3 has no event at all and blockades the trajectory.
-RATES = np.array([[1.0, 2.0, 0.0, 0.5],
-                  [0.3, 0.0, 1.2, 0.0],
-                  [2.0, 1.0, 1.0, 1.0],
-                  [0.0, 0.0, 0.0, 0.0]])
+from ..conftest import build_set_circuit
 
-#: Per-event electron transfers through two junctions.
+#: Per-configuration event rates (rows: configuration slots, columns:
+#: events; the last column flips a trap).  Zero entries exercise the clamp
+#: to the last positive-rate event; slot 3 has no event at all and
+#: blockades the trajectory.
+RATES = np.array([[1.0, 2.0, 0.0, 0.5, 0.4],
+                  [0.3, 0.0, 1.2, 0.0, 0.2],
+                  [2.0, 1.0, 1.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+
+#: First trap-flip column of :data:`RATES`.
+TRAP_START = 4
+
+#: Per-event electron transfers through two junctions (a flip moves none).
 TRANSFER_MATRIX = np.array([[1.0, 0.0], [-1.0, 0.0],
-                            [0.0, 1.0], [0.0, -1.0]])
+                            [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
 
 #: Buffer lengths short enough that every run refills both several times.
 EXP_BLOCK = 3
@@ -67,7 +81,8 @@ def successor_of(slot, event, blockade):
     return (slot + event + 1) % 3
 
 
-def drive(advance, *, duration, blockade, max_events=200, seed=5):
+def drive(advance, *, duration, blockade, single_step, max_events=200,
+          seed=5):
     """Run ``advance`` to completion, refilling and linking like the kernel.
 
     Returns one ``(status, ireg, freg, transfers)`` byte record per call.
@@ -85,6 +100,9 @@ def drive(advance, *, duration, blockade, max_events=200, seed=5):
     uni_buf = rng.random(UNIFORM_BLOCK)
     ireg = np.zeros(IREG_SIZE, dtype=np.int64)
     ireg[REG_PENDING_EVENT] = -1
+    ireg[REG_LAST_EVENT] = -1
+    ireg[REG_TRAP_START] = TRAP_START
+    ireg[REG_SINGLE_STEP] = single_step
     freg = np.zeros(FREG_SIZE)
     freg[FREG_PENDING_WAIT] = -1.0
     freg[FREG_START] = 0.0
@@ -105,10 +123,11 @@ def drive(advance, *, duration, blockade, max_events=200, seed=5):
         elif status == STATUS_NEED_LINK:
             slot, event = int(ireg[REG_SLOT]), int(ireg[REG_PENDING_EVENT])
             successor_slots[slot, event] = successor_of(slot, event, blockade)
-        else:
+        elif status != STATUS_STEPPED:
             return trace
 
 
+@pytest.mark.parametrize("single_step", [0, 1], ids=["run", "single-step"])
 @pytest.mark.parametrize("duration, blockade, final", [
     (np.inf, False, STATUS_DONE),
     (np.inf, True, STATUS_BLOCKED),
@@ -116,14 +135,75 @@ def drive(advance, *, duration, blockade, max_events=200, seed=5):
     (12.0, True, STATUS_DONE),
 ], ids=["events", "events-blockade", "duration", "duration-blockade"])
 def test_cc_shim_matches_the_reference_loop_byte_for_byte(
-        cc_advance, duration, blockade, final):
-    native = drive(cc_advance, duration=duration, blockade=blockade)
-    reference = drive(_advance_py, duration=duration, blockade=blockade)
+        cc_advance, duration, blockade, final, single_step):
+    native = drive(cc_advance, duration=duration, blockade=blockade,
+                   single_step=single_step)
+    reference = drive(_advance_py, duration=duration, blockade=blockade,
+                      single_step=single_step)
     assert native == reference
     statuses = {status for status, *_ in reference}
     assert {STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK} \
         <= statuses
+    assert (STATUS_STEPPED in statuses) == bool(single_step)
     assert reference[-1][0] == final
+    registers = np.frombuffer(reference[-1][1], dtype=np.int64)
+    assert registers[REG_TRAP_FLIPS] > 0
+
+
+def in_lockstep(native):
+    """An advance function running ``native`` and the reference side by side.
+
+    Every call runs both on their own copies of the written arrays and
+    asserts the same status and byte-identical transfers and registers;
+    the statuses are collected in ``.statuses``.
+    """
+    written = (5, 8, 9)  # transfers, ireg, freg
+
+    def advance(*arguments):
+        mirror = list(arguments)
+        for position in written:
+            mirror[position] = arguments[position].copy()
+        status = native(*arguments)
+        assert _advance_py(*mirror) == status
+        for position in written:
+            assert mirror[position].tobytes() == arguments[position].tobytes()
+        advance.statuses.append(int(status))
+        return status
+
+    advance.statuses = []
+    return advance
+
+
+def trap_simulator(seed):
+    circuit = build_set_circuit(drain_voltage=0.05, gate_voltage=0.02)
+    circuit.add_charge_trap("T1", "dot", 0.3 * E_CHARGE,
+                            capture_time=2e-11, emission_time=5e-11)
+    circuit.add_charge_trap("T2", "dot", -0.15 * E_CHARGE,
+                            capture_time=7e-11, emission_time=3e-11)
+    return MonteCarloSimulator(circuit, temperature=1.0, seed=seed)
+
+
+def test_trap_circuit_runs_match_byte_for_byte(cc_advance):
+    simulator = trap_simulator(seed=14)
+    advance = in_lockstep(cc_advance)
+    simulator.kernel._advance = advance
+    result = simulator.run(max_events=4_000)
+    result = simulator.run(duration=0.5 * result.duration)
+    assert result.trap_flips > 0
+    assert STATUS_NEED_LINK in advance.statuses
+
+
+def test_recorded_runs_match_byte_for_byte(cc_advance):
+    simulator = trap_simulator(seed=15)
+    advance = in_lockstep(cc_advance)
+    simulator.kernel._advance = advance
+    occupation = OccupationStatistics()
+    result = simulator.run(max_events=1_500, record_events=True,
+                           occupation=occupation)
+    result = simulator.run(duration=0.5 * result.duration,
+                           record_events=True, occupation=occupation)
+    assert any(record.label.startswith("trap:") for record in result.records)
+    assert advance.statuses.count(STATUS_STEPPED) >= len(result.records)
 
 
 def test_kernel_hands_the_shim_contiguous_float64_and_int64_arrays(
@@ -134,7 +214,7 @@ def test_kernel_hands_the_shim_contiguous_float64_and_int64_arrays(
     circuit = transistor.build_circuit(drain_voltage=0.05,
                                        gate_voltage=0.04)
     simulator = MonteCarloSimulator(circuit, temperature=1.0, seed=9,
-                                    jit=BACKEND_CC)
+                                    sequential_replicas=True)
     expected = (np.float64, np.float64, np.int64, np.int64, np.float64,
                 np.float64, np.float64, np.float64, np.int64, np.float64)
     calls = []
@@ -147,8 +227,8 @@ def test_kernel_hands_the_shim_contiguous_float64_and_int64_arrays(
         calls.append(1)
         return cc_advance(*arrays_and_budget)
 
-    kernel = simulator.kernel
-    kernel._jit_advance = checked
+    simulator.kernel._advance = checked
     simulator.run(max_events=3_000)
+    simulator.run(max_events=100, record_events=True)
     simulator.run_ensemble(replicas=3, max_events=500)
-    assert kernel.jit_enabled and len(calls) > 2
+    assert len(calls) > 2

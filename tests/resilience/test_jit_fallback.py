@@ -1,14 +1,22 @@
-"""Tests for the compiled-kernel -> numpy fallback of the Monte-Carlo engines."""
+"""Tests for the native -> interpreted fallback of the Monte-Carlo event loop.
+
+The ``jit.run_compiled`` site fires before every native call of the advance
+loop.  A fault there moves the kernel to the interpreted loop, which
+re-enters with the registers and random buffers the native call would
+have used, so a faulted run is bit-identical to a clean one.
+"""
 
 import numpy as np
 import pytest
 
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
-from repro.engines.adapters import MonteCarloSession
-from repro.montecarlo.jit import jit_compiled
+from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo.jit import BACKEND_PYTHON, jit_backend, jit_compiled
 from repro.resilience import FaultInjector
 from repro.resilience.events import capture_degradations
+
+from ..conftest import build_set_circuit
 
 pytestmark = pytest.mark.skipif(
     not jit_compiled(), reason="no native jit backend loaded")
@@ -41,36 +49,39 @@ class TestJitFallback:
     def test_single_trajectory_fallback_is_bit_identical_to_numpy(
             self, device, axes):
         jit_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
-        numpy_session = MonteCarloSession(device, jit=False, **BIND_KWARGS)
+        clean_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
-        assert chaos.fired("jit.run_compiled") >= 1
-        assert any(e.site == "jit.run_compiled"
-                   and e.action == "fallback:numpy" for e in events)
-        # The injected fault fires before any random draw, so the numpy
-        # fallback replays the interpreted engine bit for bit.
-        reference = numpy_session.sweep(axes)
+        # Only the first native call faults: the kernel stays on the
+        # interpreted loop afterwards.
+        assert chaos.fired("jit.run_compiled") == 1
+        assert [(e.site, e.action) for e in events] == \
+            [("jit.run_compiled", "fallback:python")]
+        reference = clean_session.sweep(axes)
         np.testing.assert_array_equal(degraded.currents, reference.currents)
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
     def test_fallback_disables_the_kernel_jit(self, device, axes):
         session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
-        assert session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.backend == jit_backend()
         with chaos_all_compiled_entries():
             session.sweep(axes)
-        assert not session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.backend == BACKEND_PYTHON
 
     def test_ensemble_fallback_is_bit_identical_to_numpy(self, device, axes):
+        # The sequential ensemble continues on the interpreted loop too,
+        # so a faulted run equals a clean ensemble-jit run.
         jit_session = get_engine("ensemble-jit").bind(device, replicas=3,
                                                       **BIND_KWARGS)
-        numpy_session = get_engine("ensemble").bind(device, replicas=3,
-                                                    **BIND_KWARGS)
+        clean_session = get_engine("ensemble-jit").bind(device, replicas=3,
+                                                        **BIND_KWARGS)
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
-        assert any(e.site == "jit.run_compiled" for e in events)
-        reference = numpy_session.sweep(axes)
+        assert any(e.site == "jit.run_compiled"
+                   and e.action == "fallback:python" for e in events)
+        reference = clean_session.sweep(axes)
         np.testing.assert_array_equal(degraded.currents, reference.currents)
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
@@ -79,4 +90,31 @@ class TestJitFallback:
         with capture_degradations() as events:
             session.sweep(axes)
         assert events == []
-        assert session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.backend == jit_backend()
+
+    @pytest.mark.parametrize("after", [0, 5, 9])
+    def test_fault_past_a_refill_continues_the_same_trajectory(self, after):
+        # The native calls of this run alternate with random-block refills
+        # and successor links; a fault on a later call must resume from
+        # the refilled buffers at the right read position.
+        def run(chaos=None):
+            simulator = MonteCarloSimulator(
+                build_set_circuit(drain_voltage=0.05, gate_voltage=0.04),
+                temperature=1.0, seed=3)
+            if chaos is None:
+                return simulator.run(max_events=20_000)
+            with chaos:
+                return simulator.run(max_events=20_000)
+
+        chaos = FaultInjector()
+        chaos.arm("jit.run_compiled", error=RuntimeError("injected"),
+                  after=after, times=1)
+        with capture_degradations() as events:
+            faulted = run(chaos)
+        clean = run()
+        assert chaos.fired("jit.run_compiled") == 1
+        assert [e.action for e in events] == ["fallback:python"]
+        assert faulted.event_count == clean.event_count == 20_000
+        assert faulted.duration == clean.duration
+        assert faulted.electron_transfers == clean.electron_transfers
+        assert faulted.final_electrons == clean.final_electrons

@@ -138,7 +138,7 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
                 "description"} <= set(entry)
         assert isinstance(entry["available"], bool)
         assert entry["cost"]["per_point_s"] > 0
-    # The numpy engines never gate on optional dependencies.
+    # The Monte-Carlo engines never gate on optional dependencies.
     always_on = {entry["name"]: entry["available"] for entry in payload}
     assert always_on["montecarlo"] and always_on["ensemble"]
     # montecarlo names its event-loop backend and prices the compiled loop.
@@ -146,8 +146,7 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
 
     montecarlo = next(entry for entry in payload
                       if entry["name"] == "montecarlo")
-    backend = jit_backend() if jit_compiled() else "numpy"
-    assert f"event loop: {backend}" in montecarlo["description"]
+    assert f"event loop: {jit_backend()}" in montecarlo["description"]
     assert montecarlo["cost"]["per_point_s"] == \
         (5e-4 if jit_compiled() else 5e-3)
 
