@@ -127,15 +127,15 @@ def drive(advance, *, duration, blockade, single_step, max_events=200,
             return trace
 
 
-@pytest.mark.parametrize("single_step", [0, 1], ids=["run", "single-step"])
-@pytest.mark.parametrize("duration, blockade, final", [
+CASES = pytest.mark.parametrize("duration, blockade, final", [
     (np.inf, False, STATUS_DONE),
     (np.inf, True, STATUS_BLOCKED),
     (12.0, False, STATUS_DONE),
     (12.0, True, STATUS_DONE),
 ], ids=["events", "events-blockade", "duration", "duration-blockade"])
-def test_cc_shim_matches_the_reference_loop_byte_for_byte(
-        cc_advance, duration, blockade, final, single_step):
+
+
+def assert_same_trace(cc_advance, duration, blockade, final, single_step):
     native = drive(cc_advance, duration=duration, blockade=blockade,
                    single_step=single_step)
     reference = drive(_advance_py, duration=duration, blockade=blockade,
@@ -144,10 +144,24 @@ def test_cc_shim_matches_the_reference_loop_byte_for_byte(
     statuses = {status for status, *_ in reference}
     assert {STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK} \
         <= statuses
-    assert (STATUS_STEPPED in statuses) == bool(single_step)
+    assert (STATUS_STEPPED in statuses) == single_step
     assert reference[-1][0] == final
     registers = np.frombuffer(reference[-1][1], dtype=np.int64)
     assert registers[REG_TRAP_FLIPS] > 0
+
+
+@CASES
+def test_cc_shim_matches_the_reference_loop_byte_for_byte(
+        cc_advance, duration, blockade, final):
+    assert_same_trace(cc_advance, duration, blockade, final,
+                      single_step=False)
+
+
+@CASES
+def test_cc_shim_matches_the_reference_loop_one_step_at_a_time(
+        cc_advance, duration, blockade, final):
+    assert_same_trace(cc_advance, duration, blockade, final,
+                      single_step=True)
 
 
 def in_lockstep(native):
