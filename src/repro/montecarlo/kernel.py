@@ -40,8 +40,9 @@ selection and state updates executed as batched NumPy operations over all
 replicas; replicas in the same configuration share one memoised entry.
 The **sequential** mode (:meth:`MonteCarloKernel.run_ensemble_compiled`)
 runs each replica's whole budget through the advance loop in turn.  Both
-consume the block random buffers in the scalar order at ``R = 1``, so an
-``R = 1`` ensemble replays a single trajectory event for event — the
+consume the block random buffers in the advance loop's order at
+``R = 1``, so an ``R = 1`` ensemble replays a single trajectory event for
+event — the
 correctness anchor the test-suite enforces.
 
 The kernel is deliberately separated from the user-facing
